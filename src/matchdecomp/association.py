@@ -126,25 +126,31 @@ def build_associated_market(
     market: ManyToOneMarket,
     decomposition: Decomposition | None = None,
     caps: Caps = DEFAULT_CAPS,
+    explicit: dict[int, tuple[LinearOrder, ...]] | None = None,
 ) -> OneToOneMarket:
-    """Verify the decomposition against the market and assemble the copies.
+    """Assemble the copies over a verified decomposition of the market.
 
-    With ``decomposition=None`` the market is decomposed afresh with
-    lexicographic copy indexing.  A supplied decomposition may use any
-    indexing and even a different (e.g. hand-built) order family, as long
-    as each firm's family recomposes to its choice function.
+    With ``decomposition=None`` the market is decomposed afresh, which
+    verifies every firm's family; ``explicit`` pins the copy indexing of
+    some firms as in :func:`decompose_market`, and the rest are numbered
+    lexicographically.  A supplied decomposition may use any indexing and
+    even a different (e.g. hand-built) order family; it is verified here,
+    and each firm's family must recompose to its choice function.
     """
     if decomposition is None:
-        decomposition = decompose_market(market, caps=caps)
-    if len(decomposition.per_firm) != len(market.firms):
-        raise MarketValidationError("decomposition covers a different firm count")
-    for f, orders in enumerate(decomposition.per_firm):
-        report = verify_decomposition(market.choice_functions[f], orders, caps)
-        if not report.passed:
-            raise DecompositionMismatchError(
-                f"orders for firm {market.firms[f]} do not recompose its "
-                f"choice function (witness {report.witness})"
-            )
+        decomposition = decompose_market(market, explicit, caps)
+    else:
+        if explicit:
+            raise ValueError("pass a decomposition or explicit indexing, not both")
+        if len(decomposition.per_firm) != len(market.firms):
+            raise MarketValidationError("decomposition covers a different firm count")
+        for f, orders in enumerate(decomposition.per_firm):
+            report = verify_decomposition(market.choice_functions[f], orders, caps)
+            if not report.passed:
+                raise DecompositionMismatchError(
+                    f"orders for firm {market.firms[f]} do not recompose its "
+                    f"choice function (witness {report.witness})"
+                )
     copies = tuple(
         FirmCopy(f, j, order)
         for f, orders in enumerate(decomposition.per_firm)

@@ -29,25 +29,6 @@ def iter_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def indices_of(mask: int) -> tuple[int, ...]:
-    return tuple(iter_indices(mask))
-
-
 def labels_of(mask: int, labels: tuple[str, ...]) -> list[str]:
     """Render a mask as a list of labels in dense-index order."""
     return [labels[i] for i in iter_indices(mask)]
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask``, including 0 and ``mask`` itself.
-
-    Uses the standard descending ``(s - 1) & mask`` walk, then reverses the
-    well-defined trick by yielding as produced; order is documented only as
-    deterministic.
-    """
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, MarketValidationError
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,11 @@ def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
         try:
             value = int(raw)
         except ValueError as exc:
-            raise CapExceededError(f"{var} must be an integer, got {raw!r}") from exc
+            raise MarketValidationError(
+                f"{var} must be an integer, got {raw!r}"
+            ) from exc
         if value < 1:
-            raise CapExceededError(f"{var} must be positive, got {value}")
+            raise MarketValidationError(f"{var} must be positive, got {value}")
         overrides[field] = value
     return Caps(**{**base.__dict__, **overrides}) if overrides else base
 

@@ -22,7 +22,12 @@ from .choices import check_lad, check_path_independence
 from .correspondence import check_count_invariance, verify_correspondence
 from .da import copies_propose, trace_json_lines, workers_propose
 from .decomposition import decompose_market
-from .errors import AxiomViolationError, CapExceededError, MarketError
+from .errors import (
+    AxiomViolationError,
+    CapExceededError,
+    MarketError,
+    MarketValidationError,
+)
 from .generator import GenParams, random_market
 from .io import (
     MarketDocument,
@@ -51,8 +56,7 @@ def _emit(data: dict) -> None:
 
 
 def _assoc_for(doc, caps):
-    decomposition = decompose_market(doc.market, doc.copy_indexing, caps)
-    return build_associated_market(doc.market, decomposition, caps)
+    return build_associated_market(doc.market, caps=caps, explicit=doc.copy_indexing)
 
 
 def _cmd_validate(args, caps) -> int:
@@ -181,6 +185,13 @@ def _cmd_check(args, caps) -> int:
     doc = load_market(args.market, caps)
     with open(args.matching, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or not all(
+        isinstance(workers, list) and all(isinstance(w, str) for w in workers)
+        for workers in data.values()
+    ):
+        raise MarketValidationError(
+            "matching file must hold an object mapping firm ids to lists of worker ids"
+        )
     from .matchings import ManyToOneMatching
 
     matching = ManyToOneMatching.from_firm_sets(doc.market, data)
@@ -290,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    caps = caps_from_env()
     try:
-        return args.func(args, caps)
+        return args.func(args, caps_from_env())
     except CapExceededError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 4

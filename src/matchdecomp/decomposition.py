@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .bitsets import bit, iter_indices
+from .bitsets import bit, iter_indices, mask_of
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import AxiomReport, ChoiceFunction, LinearOrder, check_path_independence
 from .errors import (
@@ -119,25 +119,71 @@ def decompose(
     return result
 
 
+def _order_trie(orders) -> dict:
+    """Prefix trie of the orders' rankings: worker index -> subtrie."""
+    root: dict = {}
+    for order in orders:
+        node = root
+        for w in order.ranking:
+            node = node.setdefault(w, {})
+    return root
+
+
+def _menus_choosing(table: tuple[int, ...], w: int) -> int:
+    """The menus whose choice includes ``w``, as a bitset over menu masks."""
+    bits = "".join("1" if chosen >> w & 1 else "0" for chosen in reversed(table))
+    return int(bits, 2)
+
+
 def verify_decomposition(
     cf: ChoiceFunction, orders: tuple[LinearOrder, ...], caps: Caps = DEFAULT_CAPS
 ) -> AxiomReport:
-    """Check that the union of the orders' maxima equals ``cf`` menu by menu."""
-    require_universe(cf.universe_size, caps)
+    """Check that the union of the orders' maxima equals ``cf`` menu by menu.
+
+    Orders sharing a prefix pick alike on every menu that misses the
+    prefix, and a decomposition's orders are pick sequences of one choice
+    function, so they share long prefixes.  The family is therefore walked
+    as a prefix trie, with all ``2**k`` menus going down it together as one
+    bitset (bit ``m`` stands for menu ``m``): at an edge labelled ``w`` the
+    menus containing ``w`` stop, with ``w`` as their pick on that branch,
+    and the rest go on into the subtrie.  Each trie edge is visited once.
+    Duplicate orders, empty orders and orders that are prefixes of others
+    need no special case.  On a failure the witness is the smallest menu
+    mask where the union differs, as a menu-by-menu scan would find.
+    """
+    k = cf.universe_size
+    require_universe(k, caps)
     table = cf._full_table
-    for menu in range(len(table)):
-        union = 0
-        for order in orders:
-            best = order.best_in(menu)
-            if best is not None:
-                union |= 1 << best
-        if union != table[menu]:
-            return AxiomReport(
-                "decomposition",
-                False,
-                {"menu": menu, "expected": table[menu], "actual": union},
-            )
-    return AxiomReport("decomposition", True)
+    all_menus = (1 << len(table)) - 1
+    # bit m of has[w] is set when menu m contains w: in each block of
+    # 2**(w + 1) menus, the upper half.  A hand-built family may name
+    # workers outside the universe; they are on no menu.
+    has = {
+        w: all_menus // ((1 << (2 << w)) - 1) * (((1 << (1 << w)) - 1) << (1 << w))
+        for w in range(k)
+    }
+    picked = [0] * k  # the menus where some order's best worker is w
+    stack = [(_order_trie(orders), all_menus)]
+    while stack:
+        node, menus = stack.pop()
+        for w, child in node.items():
+            present = menus & has.get(w, 0)
+            if present:
+                picked[w] |= present
+            if child and present != menus:
+                stack.append((child, menus ^ present))
+    diff = 0
+    for w in range(k):
+        diff |= picked[w] ^ _menus_choosing(table, w)
+    if not diff:
+        return AxiomReport("decomposition", True)
+    menu = (diff & -diff).bit_length() - 1
+    actual = mask_of(w for w in range(k) if picked[w] >> menu & 1)
+    return AxiomReport(
+        "decomposition",
+        False,
+        {"menu": menu, "expected": table[menu], "actual": actual},
+    )
 
 
 def decompose_market(

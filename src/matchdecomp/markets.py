@@ -66,7 +66,3 @@ class ManyToOneMarket:
     def firm_rank(self) -> tuple[dict[int, int], ...]:
         """Per worker: firm index -> position in the preference list."""
         return tuple({f: pos for pos, f in enumerate(prefs)} for prefs in self.worker_prefs)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self.workers)) - 1

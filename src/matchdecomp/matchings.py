@@ -36,8 +36,12 @@ class ManyToOneMatching:
         """Build from ``{firm label: worker labels}``; omitted agents are unmatched."""
         by_worker: list[int | None] = [None] * len(market.workers)
         for firm_label, worker_labels in assignment.items():
+            if firm_label not in market.firm_index:
+                raise MarketValidationError(f"unknown firm {firm_label!r}")
             f = market.firm_index[firm_label]
             for wl in worker_labels:
+                if wl not in market.worker_index:
+                    raise MarketValidationError(f"unknown worker {wl!r}")
                 w = market.worker_index[wl]
                 if by_worker[w] is not None:
                     raise MarketValidationError(f"worker {wl} assigned twice")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from matchdecomp import association, decomposition
 from matchdecomp import (
     ChoiceFunction,
     Decomposition,
@@ -98,6 +99,33 @@ class TestBuildValidation:
     def test_firm_count_must_match(self, reference_market):
         with pytest.raises(MarketValidationError):
             build_associated_market(reference_market, Decomposition(((),)))
+
+    def test_decomposing_build_verifies_each_firm_once(
+        self, reference_doc, reference_assoc, monkeypatch
+    ):
+        verified = []
+        original = decomposition.verify_decomposition
+
+        def counting(cf, orders, caps):
+            verified.append(cf)
+            return original(cf, orders, caps)
+
+        monkeypatch.setattr(decomposition, "verify_decomposition", counting)
+        monkeypatch.setattr(association, "verify_decomposition", counting)
+        market = reference_doc.market
+        assoc = build_associated_market(market, explicit=reference_doc.copy_indexing)
+        assert verified == list(market.choice_functions)
+        assert assoc.copies == reference_assoc.copies
+
+    def test_decomposition_and_explicit_indexing_exclude_each_other(
+        self, reference_doc, reference_assoc
+    ):
+        with pytest.raises(ValueError):
+            build_associated_market(
+                reference_doc.market,
+                reference_assoc.decomposition,
+                explicit=reference_doc.copy_indexing,
+            )
 
     def test_default_build_uses_lexicographic_indexing(self, reference_assoc_lex):
         sequences = [

@@ -17,6 +17,7 @@ from matchdecomp import (
     check_substitutability,
     replay_witness,
 )
+from matchdecomp.choices import _pairwise_path_independence
 
 from conftest import TABLE_BOTH_FAIL, TABLE_CONS_FAIL, TABLE_SUBST_FAIL
 
@@ -30,6 +31,14 @@ def choice_tables(draw, max_workers=4):
         pick = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
         entries.append(pick & menu)
     return ChoiceFunction.from_table(tuple(entries), k)
+
+
+@st.composite
+def subset_rankings(draw, max_workers=4):
+    """Arbitrary priority lists of distinct nonempty subsets."""
+    k = draw(st.integers(min_value=1, max_value=max_workers))
+    masks = draw(st.lists(st.integers(1, (1 << k) - 1), unique=True, max_size=1 << k))
+    return ChoiceFunction.from_subset_ranking(tuple(masks), k)
 
 
 @st.composite
@@ -176,9 +185,20 @@ class TestAxioms:
     @given(choice_tables())
     @settings(max_examples=200)
     def test_path_independence_iff_substitutable_and_consistent(self, cf):
-        pi = check_path_independence(cf).passed
+        pi = _pairwise_path_independence(cf).passed
         both = check_substitutability(cf).passed and check_consistency(cf).passed
         assert pi == both
+
+    @given(st.one_of(choice_tables(), subset_rankings()))
+    @settings(max_examples=300)
+    def test_path_independence_report_matches_the_pairwise_scan(self, cf):
+        assert check_path_independence(cf) == _pairwise_path_independence(cf)
+
+    def test_orders_firm_universe_cap_enforced(self):
+        caps = Caps(max_workers=2, max_orders=10, max_candidates=100)
+        cf = ChoiceFunction.from_orders((LinearOrder((2, 0)),), 3)
+        with pytest.raises(CapExceededError):
+            check_path_independence(cf, caps)
 
     @given(choice_tables())
     @settings(max_examples=150)
@@ -196,4 +216,4 @@ class TestAxioms:
     @given(order_unions())
     @settings(max_examples=150)
     def test_order_unions_are_path_independent(self, cf):
-        assert check_path_independence(cf).passed
+        assert _pairwise_path_independence(canonicalize(cf)).passed

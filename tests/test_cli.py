@@ -207,7 +207,26 @@ class TestVerify:
         assert report["count_invariance"]["copies_filled_per_matching"] == [[2, 2]] * 4
 
 
+def assert_input_error(code, err):
+    assert code == 1
+    report = json.loads(err)
+    assert list(report) == ["error"]
+    assert isinstance(report["error"], str)
+
+
 class TestCheck:
+    @pytest.mark.parametrize(
+        "matching",
+        [{"f9": ["w1"]}, {"f1": ["w9"]}, [["w1", "w2"]], {"f1": "w1"}, {"f1": [1]}],
+        ids=["unknown firm", "unknown worker", "list", "string", "number"],
+    )
+    def test_malformed_matching_exits_1(self, capsys, tmp_path, matching):
+        path = tmp_path / "matching.json"
+        path.write_text(json.dumps(matching))
+        code, out, err = run_cli(capsys, "check", REFERENCE_PATH, str(path))
+        assert out == ""
+        assert_input_error(code, err)
+
     def test_stable_matching_accepted(self, capsys, tmp_path):
         path = tmp_path / "matching.json"
         path.write_text(json.dumps(MU_FIRM))
@@ -258,3 +277,10 @@ class TestCaps:
         code, _, err = run_cli(capsys, "validate", REFERENCE_PATH)
         assert code == 4
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_bad_cap_value_is_invalid_input(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MATCHDECOMP_MAX_WORKERS", value)
+        code, out, err = run_cli(capsys, "validate", REFERENCE_PATH)
+        assert out == ""
+        assert_input_error(code, err)

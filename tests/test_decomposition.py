@@ -1,10 +1,13 @@
 """Order-family decomposition, recomposition, and their verification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchdecomp import (
+    AxiomReport,
     AxiomViolationError,
     Caps,
     CapExceededError,
@@ -30,6 +33,57 @@ from test_choices import order_unions
 
 def as_labels(orders, workers):
     return [[workers[w] for w in o.ranking] for o in orders]
+
+
+def scan_verify(cf, orders):
+    """Oracle for verify_decomposition: each order's best worker, menu by menu."""
+    table = cf._full_table
+    for menu in range(len(table)):
+        union = 0
+        for order in orders:
+            best = order.best_in(menu)
+            if best is not None:
+                union |= 1 << best
+        if union != table[menu]:
+            return AxiomReport(
+                "decomposition",
+                False,
+                {"menu": menu, "expected": table[menu], "actual": union},
+            )
+    return AxiomReport("decomposition", True)
+
+
+def random_order(rng, k):
+    ranking = list(range(k))
+    rng.shuffle(ranking)
+    return LinearOrder(tuple(ranking[: rng.randint(0, k)]))
+
+
+def family_variants(orders, k, rng):
+    """An exact family, then seeded corruptions of it, by name."""
+    orders = list(orders)
+    pick = rng.choice(orders)
+    foreign = next(
+        (o for o in (random_order(rng, k) for _ in range(20)) if o not in orders),
+        LinearOrder((k - 1,)),
+    )
+    cut = rng.randint(0, max(len(pick.ranking) - 1, 0))
+    truncated = [LinearOrder(o.ranking[:cut]) if o == pick else o for o in orders]
+    dropped = [o for o in orders if o != pick]
+    shuffled = orders[:]
+    rng.shuffle(shuffled)
+    return {
+        "exact": orders,
+        "reindexed": shuffled,
+        "dropped": dropped,
+        "foreign appended": orders + [foreign],
+        "truncated": truncated,
+        "duplicate": orders + [pick],
+        "empty order": orders + [LinearOrder(())],
+        "prefix of another": orders + [LinearOrder(pick.ranking[:cut])],
+        "outside the universe": orders + [LinearOrder((k,) + pick.ranking)],
+        "empty family": [],
+    }
 
 
 class TestDecomposeReference:
@@ -129,6 +183,25 @@ class TestVerify:
     def test_empty_family_verifies_empty_function(self):
         cf = ChoiceFunction.from_orders((), 2)
         assert verify_decomposition(cf, ()).passed
+
+    def test_trie_walk_matches_the_menu_scan(self):
+        # seeded families: exact decompositions of order unions and broken
+        # copies of them, checked against their own function and against a
+        # random table, so that failing witnesses are compared too
+        for seed in range(150):
+            rng = random.Random(seed)
+            k = rng.randint(1, 6)
+            cf = ChoiceFunction.from_orders(
+                tuple({random_order(rng, k) for _ in range(rng.randint(1, 4))}), k
+            )
+            table = ChoiceFunction.from_table(
+                (0,) + tuple(rng.randrange(1 << k) & m for m in range(1, 1 << k)), k
+            )
+            for name, family in family_variants(decompose(cf), k, rng).items():
+                for target in (cf, table):
+                    expected = scan_verify(target, tuple(family))
+                    actual = verify_decomposition(target, tuple(family))
+                    assert actual == expected, (seed, name, target.kind)
 
 
 class TestRoundTrips:
