@@ -41,6 +41,7 @@ from .errors import (
     AxiomViolationError,
     CapExceededError,
     DecompositionMismatchError,
+    DeferredAcceptanceError,
     FirmRationalityError,
     MarketError,
     MarketValidationError,
@@ -82,6 +83,7 @@ __all__ = [
     "DaTrace",
     "Decomposition",
     "DecompositionMismatchError",
+    "DeferredAcceptanceError",
     "DuplicateOrderWarning",
     "FirmCopy",
     "FirmRationalityError",

@@ -4,8 +4,12 @@ Exit codes: 0 success, 1 unreadable or invalid input, 2 a required
 choice-function axiom fails, 3 a verification fails (correspondence,
 count invariance, a `check` that finds a blocker, or deferred acceptance
 ending unstable under --no-reauthorize / --no-release), 4 a resource cap
-is exceeded.  Caps can be overridden
-through MATCHDECOMP_MAX_WORKERS, MATCHDECOMP_MAX_ORDERS and
+is exceeded.  Path independence is required by `decompose`, `solve`,
+`enumerate --concept copy-stable|classical` and `verify`, which exit 2
+without it; `validate` reports it and exits 2 if a firm fails it, while
+`enumerate --concept stable` and `check` work on the choice functions
+directly and do not require it.  Caps can be overridden through
+MATCHDECOMP_MAX_WORKERS, MATCHDECOMP_MAX_ORDERS and
 MATCHDECOMP_MAX_CANDIDATES.  All output is JSON and deterministic for
 fixed input and flags.
 """
@@ -25,6 +29,7 @@ from .decomposition import decompose_market
 from .errors import (
     AxiomViolationError,
     CapExceededError,
+    DeferredAcceptanceError,
     MarketError,
     MarketValidationError,
 )
@@ -33,6 +38,7 @@ from .io import (
     MarketDocument,
     dump_market,
     load_market,
+    read_json,
     render_axiom_report,
     render_stability_report,
 )
@@ -183,8 +189,7 @@ def _cmd_verify(args, caps) -> int:
 
 def _cmd_check(args, caps) -> int:
     doc = load_market(args.market, caps)
-    with open(args.matching, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.matching)
     if not isinstance(data, dict) or not all(
         isinstance(workers, list) and all(isinstance(w, str) for w in workers)
         for workers in data.values()
@@ -309,14 +314,13 @@ def main(argv=None) -> int:
     except AxiomViolationError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except DeferredAcceptanceError as exc:
+        # a MarketError too, so it must be caught before the clause below
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 3
     except (MarketError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        # the deferred-acceptance post-assertion, reachable only under
-        # --no-reauthorize / --no-release
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
 
 
 def run() -> None:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 from .association import OneToOneMarket
 from .caps import DEFAULT_CAPS, Caps
+from .errors import DeferredAcceptanceError
 from .matchings import OneToOneMatching
 from .stability import check_copy_stable
 
@@ -85,7 +86,7 @@ class DaTrace:
 def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> None:
     report = check_copy_stable(assoc, matching)
     if not report.stable:
-        raise RuntimeError(
+        raise DeferredAcceptanceError(
             f"deferred acceptance produced an unstable matching: "
             f"{report.case} witness {report.witness}"
         )
@@ -114,7 +115,7 @@ def copies_propose(
     while True:
         number = len(stages) + 1
         if number > n_copies * k + 2:
-            raise RuntimeError("deferred acceptance failed to terminate")
+            raise DeferredAcceptanceError("deferred acceptance failed to terminate")
         offers: dict[int, list[int]] = {}
         authorized: dict[int, bool] = {}
         pending: list[int] = []
@@ -206,7 +207,7 @@ def workers_propose(
     while True:
         number = len(stages) + 1
         if number > n_copies * k + 2:
-            raise RuntimeError("deferred acceptance failed to terminate")
+            raise DeferredAcceptanceError("deferred acceptance failed to terminate")
         held_at_start = list(held_by_copy)
         offers: dict[int, list[int]] = {}
         for w in sorted(pool):

@@ -21,6 +21,12 @@ class CapExceededError(MarketError):
     """A resource cap (universe size, order count, candidate count) was hit."""
 
 
+class DeferredAcceptanceError(MarketError, RuntimeError):
+    """Deferred acceptance ended on a matching that is not copy-stable, or
+    ran past its stage bound.  Also a ``RuntimeError``, so callers that
+    catch ``RuntimeError`` keep catching it."""
+
+
 class DecompositionMismatchError(MarketValidationError):
     """A supplied order family does not reproduce the firm's choice function."""
 

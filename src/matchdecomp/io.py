@@ -2,12 +2,17 @@
 
 The on-disk format is JSON, structurally validated against the schema
 shipped in ``data/market.schema.json`` and then semantically validated
-while building the market.  Subsets are written as lists of worker labels
-in worker order; orders as lists of labels best first; tables as
-``[menu, chosen]`` pairs covering every menu exactly once, in ascending
-menu order.  An optional ``copy_indexing`` section pins the copy numbering
-of a firm's decomposition; it must list exactly the orders the
-decomposition produces, and is rejected otherwise.
+while building the market.  The structural check is one plain-Python pass
+that accepts exactly the documents the schema accepts; ``jsonschema`` is
+imported only when that pass rejects a document, to name the first
+violation the way ``jsonschema.validate`` does.
+
+Subsets are written as lists of worker labels in worker order; orders as
+lists of labels best first; tables as ``[menu, chosen]`` pairs covering
+every menu exactly once, in ascending menu order.  An optional
+``copy_indexing`` section pins the copy numbering of a firm's
+decomposition; it must list exactly the orders the decomposition
+produces, and is rejected otherwise.
 
 Parsing and serializing are inverse: ``parse_market(serialize_market(doc))``
 reproduces the document field for field, including each choice function's
@@ -19,8 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-
-import jsonschema
 
 from .bitsets import labels_of, mask_of
 from .caps import DEFAULT_CAPS, Caps
@@ -40,6 +43,12 @@ from .stability import StabilityReport
 _MASK_KEYS = frozenset(
     ["menu", "submenu", "first", "second", "smaller", "larger", "expected", "actual"]
 )
+
+# the keys market.schema.json requires and allows at each level
+_TOP_REQUIRED = frozenset(["workers", "firms", "worker_prefs"])
+_TOP_ALLOWED = _TOP_REQUIRED | {"copy_indexing"}
+_FIRM_KEYS = frozenset(["id", "choice"])
+_CHOICE_KEYS = frozenset(["kind", "payload"])
 
 
 def market_schema() -> dict:
@@ -106,12 +115,84 @@ def _parse_choice(spec: dict, widx: dict[str, int], firm: str) -> ChoiceFunction
     )
 
 
+def _labels(value) -> bool:
+    return type(value) is list and all(type(label) is str for label in value)
+
+
+def _payload_well_formed(kind: str, payload: list) -> bool:
+    if kind == TABLE:
+        return all(
+            type(pair) is list and len(pair) == 2 and _labels(pair[0]) and _labels(pair[1])
+            for pair in payload
+        )
+    if kind == SUBSET_RANKING:
+        return all(_labels(entry) and entry for entry in payload)
+    return all(_labels(entry) for entry in payload)
+
+
+def _firm_well_formed(firm) -> bool:
+    if type(firm) is not dict or firm.keys() != _FIRM_KEYS:
+        return False
+    if type(firm["id"]) is not str or not firm["id"]:
+        return False
+    choice = firm["choice"]
+    if type(choice) is not dict or choice.keys() != _CHOICE_KEYS:
+        return False
+    kind, payload = choice["kind"], choice["payload"]
+    return (
+        kind in (TABLE, SUBSET_RANKING, ORDERS)
+        and type(payload) is list
+        and _payload_well_formed(kind, payload)
+    )
+
+
+def _well_formed(data) -> bool:
+    """Whether ``market.schema.json`` accepts ``data``.
+
+    Exact on deserialized JSON.  Python values JSON cannot produce, such as
+    tuples or ``str`` subclasses, may be refused here though the schema
+    accepts them; a False is only a cue to ask the schema.
+    """
+    if type(data) is not dict or not _TOP_REQUIRED <= data.keys() <= _TOP_ALLOWED:
+        return False
+    workers, firms, prefs = data["workers"], data["firms"], data["worker_prefs"]
+    if not (
+        _labels(workers)
+        and workers
+        and all(workers)
+        and len(set(workers)) == len(workers)
+    ):
+        return False
+    if type(firms) is not list or not all(_firm_well_formed(firm) for firm in firms):
+        return False
+    if type(prefs) is not dict or not all(_labels(p) for p in prefs.values()):
+        return False
+    indexing = data.get("copy_indexing", {})
+    return type(indexing) is dict and all(
+        type(orders) is list and orders and all(_labels(o) for o in orders)
+        for orders in indexing.values()
+    )
+
+
+def _raise_schema_error(data) -> None:
+    """Raise the first violation ``jsonschema.validate`` would report, if any."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    try:
+        error = best_match(Draft202012Validator(market_schema()).iter_errors(data))
+    except RecursionError:  # repr of a value nested near the recursion limit
+        raise MarketValidationError(
+            "market file rejected by schema: a value nests too deeply to report"
+        ) from None
+    if error is not None:
+        raise MarketValidationError(f"market file rejected by schema: {error.message}")
+
+
 def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
     """Validate a deserialized market file and build the market."""
-    try:
-        jsonschema.validate(data, market_schema())
-    except jsonschema.ValidationError as exc:
-        raise MarketValidationError(f"market file rejected by schema: {exc.message}")
+    if not _well_formed(data):
+        _raise_schema_error(data)
 
     workers = tuple(data["workers"])
     widx = {label: i for i, label in enumerate(workers)}
@@ -160,9 +241,20 @@ def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
     return MarketDocument(market, copy_indexing)
 
 
+def read_json(path: str):
+    """Load a JSON file; bytes that are not UTF-8, or nesting too deep for
+    the decoder, are invalid input like any other malformed file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MarketValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise MarketValidationError(f"{path} nests JSON too deeply to read") from None
+
+
 def load_market(path: str, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise MarketValidationError("market file must hold a JSON object")
     return parse_market(data, caps)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from matchdecomp import cli
 from matchdecomp.cli import main
 
 from conftest import (
@@ -88,6 +89,16 @@ class TestValidate:
         assert code == 1
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "content", [b'{"workers": ["\xff"]}', b"[" * 100_000], ids=["not utf-8", "too deep"]
+    )
+    def test_unreadable_market_exits_1(self, capsys, tmp_path, content):
+        path = tmp_path / "market.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert out == ""
+        assert_input_error(code, err)
+
 
 class TestDecompose:
     def test_explicit_indexing_is_verbatim(self, capsys):
@@ -158,6 +169,14 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(path), "--proposing", "workers")
         assert code == 0
 
+    def test_other_runtime_errors_are_not_verification_failures(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug, not an unstable outcome")
+
+        monkeypatch.setattr(cli, "copies_propose", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["solve", REFERENCE_PATH])
+
 
 class TestEnumerate:
     @pytest.mark.parametrize(
@@ -227,6 +246,16 @@ class TestCheck:
         assert out == ""
         assert_input_error(code, err)
 
+    @pytest.mark.parametrize(
+        "content", [b'{"f1": ["\xff"]}', b"[" * 100_000], ids=["not utf-8", "too deep"]
+    )
+    def test_unreadable_matching_exits_1(self, capsys, tmp_path, content):
+        path = tmp_path / "matching.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "check", REFERENCE_PATH, str(path))
+        assert out == ""
+        assert_input_error(code, err)
+
     def test_stable_matching_accepted(self, capsys, tmp_path):
         path = tmp_path / "matching.json"
         path.write_text(json.dumps(MU_FIRM))
@@ -242,6 +271,35 @@ class TestCheck:
         report = json.loads(out)
         assert report["stable"] is False
         assert report["case"] == "firm-block"
+
+
+class TestPathIndependenceRequirement:
+    # decompose, solve, the copy-level enumerations and verify build the
+    # copy market and need path independence; validate reports it; the
+    # firm-level enumeration and check use the choice functions directly
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["validate"], 2),
+            (["decompose"], 2),
+            (["solve"], 2),
+            (["solve", "--proposing", "workers"], 2),
+            (["enumerate", "--concept", "copy-stable"], 2),
+            (["enumerate", "--concept", "classical"], 2),
+            (["verify"], 2),
+            (["enumerate", "--concept", "stable"], 0),
+        ],
+    )
+    def test_exit_codes(self, capsys, bad_axiom_file, argv, expected):
+        code, _, _ = run_cli(capsys, argv[0], bad_axiom_file, *argv[1:])
+        assert code == expected
+
+    def test_check_finds_a_firm_block_without_it(self, capsys, tmp_path, bad_axiom_file):
+        path = tmp_path / "matching.json"
+        path.write_text(json.dumps({"A": ["v"]}))
+        code, out, _ = run_cli(capsys, "check", bad_axiom_file, str(path))
+        assert code == 3
+        assert json.loads(out)["case"] == "firm-block"
 
 
 class TestGen:

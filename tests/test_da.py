@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matchdecomp import (
     ChoiceFunction,
+    DeferredAcceptanceError,
     GenParams,
     LinearOrder,
     ManyToOneMarket,
@@ -89,8 +90,9 @@ class TestCopiesPropose:
         assoc = family_association(market)
         final, _ = copies_propose(assoc)
         assert check_copy_stable(assoc, final).stable
-        with pytest.raises(RuntimeError, match="unstable"):
+        with pytest.raises(RuntimeError, match="unstable") as caught:
             copies_propose(assoc, reauthorize=False)
+        assert isinstance(caught.value, DeferredAcceptanceError)
 
     def test_merged_final_is_indexing_invariant(self, reference_assoc_lex, reference_market):
         final, _ = copies_propose(reference_assoc_lex)
@@ -152,8 +154,9 @@ class TestWorkersPropose:
         assoc = family_association(market)
         final, _ = workers_propose(assoc)
         assert check_copy_stable(assoc, final).stable
-        with pytest.raises(RuntimeError, match="unstable"):
+        with pytest.raises(RuntimeError, match="unstable") as caught:
             workers_propose(assoc, release=False)
+        assert isinstance(caught.value, DeferredAcceptanceError)
 
     def test_worker_with_empty_list_stays_single(self):
         cf = ChoiceFunction.from_orders((LinearOrder((0, 1)),), 2)

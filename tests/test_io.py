@@ -1,27 +1,39 @@
 """Market files: schema, parsing, serialization, report rendering."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 
+import jsonschema
 import pytest
+from jsonschema import Draft202012Validator
 
+import matchdecomp
 from matchdecomp import (
     ChoiceFunction,
     DecompositionMismatchError,
+    GenParams,
     LinearOrder,
     ManyToOneMarket,
     MarketDocument,
     MarketValidationError,
+    canonicalize,
     check_consistency,
     check_stable,
     check_substitutability,
+    decompose_market,
     dump_market,
     load_market,
     market_schema,
     parse_market,
+    random_market,
     render_axiom_report,
     render_stability_report,
     serialize_market,
 )
+from matchdecomp.io import _well_formed
 
 from conftest import REFERENCE_PATH, TABLE_CONS_FAIL, m1
 
@@ -38,9 +50,10 @@ class TestSchema:
         for kind in ("table", "subset_ranking", "orders"):
             assert kind in blob
 
-    def test_reference_file_is_schema_valid(self):
-        import jsonschema
+    def test_schema_passes_the_metaschema(self):
+        Draft202012Validator.check_schema(market_schema())
 
+    def test_reference_file_is_schema_valid(self):
         jsonschema.validate(reference_data(), market_schema())
 
 
@@ -81,13 +94,27 @@ class TestParse:
             lambda d: d["worker_prefs"]["w1"].append("nosuch"),
             lambda d: d["firms"].append(d["firms"][0]),  # duplicate id
             lambda d: d["firms"][0]["choice"].update(kind="nonsense"),
+            lambda d: d.update(extra=1),
+            lambda d: d["firms"][0].update(id=""),
+            lambda d: d["workers"].__setitem__(0, 3),
+            lambda d: d["firms"][0]["choice"].update(payload={}),
+            lambda d: d["firms"][0]["choice"]["payload"].append([]),
+            lambda d: d["copy_indexing"].update(f1=[]),
+            lambda d: d["worker_prefs"].update(w1="f1"),
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
+        # a schema rejection reads exactly as jsonschema.validate words it
         data = reference_data()
         mutate(data)
-        with pytest.raises(MarketValidationError):
+        with pytest.raises(MarketValidationError) as caught:
             parse_market(data)
+        try:
+            jsonschema.validate(data, market_schema())
+        except jsonschema.ValidationError as exc:
+            assert str(caught.value) == "market file rejected by schema: " + exc.message
+        else:
+            assert not str(caught.value).startswith("market file rejected by schema")
 
     def test_partial_tables_rejected(self):
         data = {
@@ -111,6 +138,139 @@ class TestParse:
         path.write_text("[1, 2]")
         with pytest.raises(MarketValidationError):
             load_market(str(path))
+
+
+# a mutation picks one node of the document: a dict value, a list item or,
+# for "add", any container including the root
+_KEYS = ["workers", "firms", "worker_prefs", "copy_indexing", "id", "choice",
+         "kind", "payload", "w1", "f1", "x", ""]
+
+
+def _nodes(doc):
+    """(parent, key, value) for every value below the root."""
+    out, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if type(node) is dict:
+            items = node.items()
+        elif type(node) is list:
+            items = enumerate(node)
+        else:
+            continue
+        for key, child in items:
+            out.append((node, key, child))
+            stack.append(child)
+    return out
+
+
+def _copy(value):
+    return json.loads(json.dumps(value))
+
+
+_POOL = [
+    "", "w1", "zz", 0, 2.5, True, None, [], {}, ["w1"], [""], ["w1", "w2"],
+    [[]], [["w1"], []], "table", "orders", "subset_ranking",
+    {"id": "f9", "choice": {"kind": "orders", "payload": []}},
+]
+
+
+def _value(rng, nodes):
+    if nodes and rng.random() < 0.3:
+        return _copy(rng.choice(nodes)[2])  # a piece of the document itself
+    return _copy(rng.choice(_POOL))
+
+
+def _mutate(rng, doc):
+    op = rng.choice(["replace", "drop", "add", "wrap", "duplicate"])
+    nodes = _nodes(doc)
+    if op == "add" or not nodes:
+        target = rng.choice([doc] + [v for _, _, v in nodes if type(v) in (dict, list)])
+        if type(target) is dict:
+            target[rng.choice(_KEYS)] = _value(rng, nodes)
+        else:
+            target.insert(rng.randint(0, len(target)), _value(rng, nodes))
+        return
+    parent, key, child = rng.choice(nodes)
+    if op == "replace":
+        parent[key] = _value(rng, nodes)
+    elif op == "drop":
+        del parent[key]
+    elif op == "wrap":
+        parent[key] = [child] if rng.random() < 0.7 else {rng.choice(_KEYS): child}
+    elif type(parent) is list:
+        parent.insert(rng.randint(0, len(parent)), _copy(child))
+    else:
+        parent[rng.choice(_KEYS)] = _copy(child)
+
+
+def _seed_documents():
+    """The reference file plus small generated markets of all three kinds."""
+    docs = [reference_data()]
+    for seed in range(6):
+        rng = random.Random(seed)
+        market = random_market(
+            GenParams(workers=2, firms=2, max_orders=2, density=0.8, seed=seed)
+        )
+        indexing = dict(enumerate(decompose_market(market).per_firm))
+        docs.append(serialize_market(market, indexing))
+        cfs = (
+            ChoiceFunction.from_table(canonicalize(market.choice_functions[0]).table, 2),
+            ChoiceFunction.from_subset_ranking(rng.sample(range(1, 4), 2), 2),
+        )
+        mixed = ManyToOneMarket(market.workers, market.firms, cfs, market.worker_prefs)
+        docs.append(serialize_market(mixed))
+    return docs
+
+
+class TestWellFormed:
+    def test_agrees_with_the_schema_on_mutated_documents(self):
+        # iter_errors yielding nothing is exactly best_match(...) being None,
+        # the test parse_market falls back to; next() stops at the first error
+        validator = Draft202012Validator(market_schema())
+        seeds = _seed_documents()
+        rng = random.Random(2024)
+        accepted = 0
+        for i in range(50_000):
+            doc = _copy(seeds[i % len(seeds)])
+            for _ in range(rng.randint(1, 2)):
+                _mutate(rng, doc)
+            doc = _copy(doc)
+            valid = next(validator.iter_errors(doc), None) is None
+            assert _well_formed(doc) == valid, json.dumps(doc)
+            accepted += valid
+        assert 0 < accepted < 50_000
+
+    def test_python_values_json_cannot_hold_go_to_the_schema(self):
+        # jsonschema counts a str subclass as a string but a tuple not as
+        # an array; the plain pass refuses both and leaves the verdict to
+        # the schema
+        data = reference_data()
+        data["workers"] = tuple(data["workers"])
+        assert not _well_formed(data)
+        with pytest.raises(MarketValidationError, match="rejected by schema"):
+            parse_market(data)
+
+        class Label(str):
+            pass
+
+        data = reference_data()
+        data["workers"] = [Label(w) for w in data["workers"]]
+        assert not _well_formed(data)
+        assert parse_market(data).market.workers == tuple(reference_data()["workers"])
+
+    def test_loading_a_valid_market_leaves_jsonschema_unimported(self):
+        code = (
+            "import sys\n"
+            "from matchdecomp.cli import main\n"
+            f"assert main(['validate', {REFERENCE_PATH!r}]) == 0\n"
+            "assert 'jsonschema' not in sys.modules, 'jsonschema was imported'\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(matchdecomp.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestRendering:
