@@ -9,7 +9,8 @@ are lifted to copies under two structural rules:
 2. within one firm, copies are ranked by ascending copy number.
 
 Copies of firms a worker finds unacceptable do not appear in the lifted
-list at all.  Both rules are enforced at construction time.
+list at all.  Copies and lifted lists are derived from the decomposition
+alone, so both rules hold by construction.
 """
 
 from __future__ import annotations
@@ -35,35 +36,27 @@ class FirmCopy:
 
 @dataclass(frozen=True)
 class OneToOneMarket:
+    """The copy market of ``source`` under ``decomposition``.
+
+    Use :func:`build_associated_market` to get one: it verifies that each
+    firm's family recomposes to its choice function, which this class
+    does not check.
+    """
+
     source: ManyToOneMarket
     decomposition: Decomposition
-    copies: tuple[FirmCopy, ...]
-    worker_prefs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        expected = []
-        for f, orders in enumerate(self.decomposition.per_firm):
-            for j, order in enumerate(orders, start=1):
-                expected.append(FirmCopy(f, j, order))
-        if list(self.copies) != expected:
-            raise MarketValidationError(
-                "copies must list the decomposition's orders per firm, "
-                "in ascending copy number"
-            )
-        if len(self.worker_prefs) != len(self.source.workers):
-            raise MarketValidationError("one lifted preference list per worker")
-        for w, lifted in enumerate(self.worker_prefs):
-            if lifted != self._lift(w):
-                raise MarketValidationError(
-                    f"lifted preferences of {self.source.workers[w]} break the "
-                    "firm-order or copy-number rules"
-                )
+        if len(self.decomposition.per_firm) != len(self.source.firms):
+            raise MarketValidationError("decomposition covers a different firm count")
 
-    def _lift(self, w: int) -> tuple[int, ...]:
-        lifted = []
-        for f in self.source.worker_prefs[w]:
-            lifted.extend(self.copies_by_firm[f])
-        return tuple(lifted)
+    @cached_property
+    def copies(self) -> tuple[FirmCopy, ...]:
+        return tuple(
+            FirmCopy(f, j, order)
+            for f, orders in enumerate(self.decomposition.per_firm)
+            for j, order in enumerate(orders, start=1)
+        )
 
     @cached_property
     def copies_by_firm(self) -> tuple[tuple[int, ...], ...]:
@@ -71,6 +64,14 @@ class OneToOneMarket:
         for c, copy in enumerate(self.copies):
             groups[copy.firm].append(c)
         return tuple(tuple(g) for g in groups)
+
+    @cached_property
+    def worker_prefs(self) -> tuple[tuple[int, ...], ...]:
+        groups = self.copies_by_firm
+        return tuple(
+            tuple(c for f in prefs for c in groups[f])
+            for prefs in self.source.worker_prefs
+        )
 
     @cached_property
     def firm_of_copy(self) -> tuple[int, ...]:
@@ -126,40 +127,23 @@ def build_associated_market(
     market: ManyToOneMarket,
     decomposition: Decomposition | None = None,
     caps: Caps = DEFAULT_CAPS,
-    explicit: dict[int, tuple[LinearOrder, ...]] | None = None,
 ) -> OneToOneMarket:
     """Assemble the copies over a verified decomposition of the market.
 
-    With ``decomposition=None`` the market is decomposed afresh, which
-    verifies every firm's family; ``explicit`` pins the copy indexing of
-    some firms as in :func:`decompose_market`, and the rest are numbered
-    lexicographically.  A supplied decomposition may use any indexing and
-    even a different (e.g. hand-built) order family; it is verified here,
-    and each firm's family must recompose to its choice function.
+    With ``decomposition=None`` the market is decomposed with
+    lexicographic copy numbers.  A supplied decomposition may use any
+    indexing and even a different (e.g. hand-built) order family.  Either
+    way each firm's family is verified here, once: it must recompose to
+    the firm's choice function.
     """
     if decomposition is None:
-        decomposition = decompose_market(market, explicit, caps)
-    else:
-        if explicit:
-            raise ValueError("pass a decomposition or explicit indexing, not both")
-        if len(decomposition.per_firm) != len(market.firms):
-            raise MarketValidationError("decomposition covers a different firm count")
-        for f, orders in enumerate(decomposition.per_firm):
-            report = verify_decomposition(market.choice_functions[f], orders, caps)
-            if not report.passed:
-                raise DecompositionMismatchError(
-                    f"orders for firm {market.firms[f]} do not recompose its "
-                    f"choice function (witness {report.witness})"
-                )
-    copies = tuple(
-        FirmCopy(f, j, order)
-        for f, orders in enumerate(decomposition.per_firm)
-        for j, order in enumerate(orders, start=1)
-    )
-    groups: list[list[int]] = [[] for _ in market.firms]
-    for c, copy in enumerate(copies):
-        groups[copy.firm].append(c)
-    worker_prefs = tuple(
-        tuple(c for f in prefs for c in groups[f]) for prefs in market.worker_prefs
-    )
-    return OneToOneMarket(market, decomposition, copies, worker_prefs)
+        decomposition = decompose_market(market, caps=caps)
+    assoc = OneToOneMarket(market, decomposition)
+    for f, orders in enumerate(decomposition.per_firm):
+        report = verify_decomposition(market.choice_functions[f], orders, caps)
+        if not report.passed:
+            raise DecompositionMismatchError(
+                f"orders for firm {market.firms[f]} do not recompose its "
+                f"choice function (witness {report.witness})"
+            )
+    return assoc

@@ -8,7 +8,10 @@ is exceeded.  Path independence is required by `decompose`, `solve`,
 `enumerate --concept copy-stable|classical` and `verify`, which exit 2
 without it; `validate` reports it and exits 2 if a firm fails it, while
 `enumerate --concept stable` and `check` work on the choice functions
-directly and do not require it.  Caps can be overridden through
+directly and do not require it.  A `copy_indexing` entry is matched
+against its firm's decomposition on every load, so a file that indexes
+a firm without path independence exits 2 from every command, these
+included.  Caps can be overridden through
 MATCHDECOMP_MAX_WORKERS, MATCHDECOMP_MAX_ORDERS and
 MATCHDECOMP_MAX_CANDIDATES.  All output is JSON and deterministic for
 fixed input and flags.
@@ -62,7 +65,8 @@ def _emit(data: dict) -> None:
 
 
 def _assoc_for(doc, caps):
-    return build_associated_market(doc.market, caps=caps, explicit=doc.copy_indexing)
+    decomposition = decompose_market(doc.market, doc.copy_indexing, caps)
+    return build_associated_market(doc.market, decomposition, caps)
 
 
 def _cmd_validate(args, caps) -> int:
@@ -88,7 +92,7 @@ def _cmd_validate(args, caps) -> int:
 def _cmd_decompose(args, caps) -> int:
     doc = load_market(args.market, caps)
     market = doc.market
-    decomposition = decompose_market(market, doc.copy_indexing, caps)
+    decomposition = _assoc_for(doc, caps).decomposition
     firms = []
     for label, orders in zip(market.firms, decomposition.per_firm):
         firms.append(

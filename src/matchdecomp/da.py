@@ -45,8 +45,8 @@ import json
 from dataclasses import dataclass
 
 from .association import OneToOneMarket
-from .caps import DEFAULT_CAPS, Caps
 from .errors import DeferredAcceptanceError
+from .io import render_stability_report
 from .matchings import OneToOneMatching
 from .stability import check_copy_stable
 
@@ -86,17 +86,19 @@ class DaTrace:
 def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> None:
     report = check_copy_stable(assoc, matching)
     if not report.stable:
+        witness = render_stability_report(
+            report, assoc.source.workers, copy_labels=assoc.copy_labels
+        )["witness"]
         raise DeferredAcceptanceError(
             f"deferred acceptance produced an unstable matching: "
-            f"{report.case} witness {report.witness}"
+            f"{report.case} witness {witness}"
         )
 
 
 def copies_propose(
-    assoc: OneToOneMarket, *, reauthorize: bool = True, caps: Caps = DEFAULT_CAPS
+    assoc: OneToOneMarket, *, reauthorize: bool = True
 ) -> tuple[OneToOneMatching, DaTrace]:
     """Copy-proposing deferred acceptance with sibling authorization."""
-    del caps  # polynomial; accepted for signature symmetry
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
     wrank = assoc.worker_rank
@@ -185,10 +187,9 @@ def copies_propose(
 
 
 def workers_propose(
-    assoc: OneToOneMarket, *, release: bool = True, caps: Caps = DEFAULT_CAPS
+    assoc: OneToOneMarket, *, release: bool = True
 ) -> tuple[OneToOneMatching, DaTrace]:
     """Worker-proposing deferred acceptance with sibling screening."""
-    del caps
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
     wrank = assoc.worker_rank

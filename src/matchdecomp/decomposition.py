@@ -73,7 +73,9 @@ def decompose(
     validated to be exactly the same set of orders and returned as given.
     Raises AxiomViolationError when ``cf`` is not path independent and
     CapExceededError when more than ``caps.max_orders`` distinct orders
-    appear.
+    appear.  The result is not verified against ``cf`` here:
+    :func:`~matchdecomp.association.build_associated_market` verifies
+    every family once, whatever produced it.
     """
     pi = check_path_independence(cf, caps)
     if not pi.passed:
@@ -100,12 +102,6 @@ def decompose(
 
     walk((1 << cf.universe_size) - 1, [])
     result = [LinearOrder(seq) for seq in sorted(found)]
-
-    report = verify_decomposition(cf, tuple(result), caps)
-    if not report.passed:
-        raise DecompositionMismatchError(
-            f"internal error: decomposition fails to recompose at witness {report.witness}"
-        )
 
     if explicit is not None:
         explicit = tuple(explicit)
@@ -191,10 +187,17 @@ def decompose_market(
     explicit: dict[int, tuple[LinearOrder, ...]] | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> Decomposition:
-    """Decompose every firm, honouring explicit per-firm copy indexing."""
+    """Decompose every firm, keeping an explicit per-firm copy indexing.
+
+    A firm in ``explicit`` keeps that family as given and is not walked:
+    it is a market file's ``copy_indexing``, which ``parse_market`` has
+    already matched against the walk.  Nothing is verified here;
+    :func:`~matchdecomp.association.build_associated_market` verifies every
+    family, explicit or walked.
+    """
     explicit = explicit or {}
     per_firm = []
-    for i in range(len(market.firms)):
-        orders = decompose(market.choice_functions[i], explicit.get(i), caps)
+    for i, cf in enumerate(market.choice_functions):
+        orders = explicit[i] if i in explicit else decompose(cf, caps=caps)
         per_firm.append(tuple(orders))
     return Decomposition(tuple(per_firm))

@@ -54,7 +54,8 @@ def test_criterion_1_decomposition_of_the_reference_market(capsys, tmp_path):
 
     # without the pinned numbering the same twelve orders come back,
     # deterministically in lexicographic order
-    data = json.load(open(REFERENCE_PATH, encoding="utf-8"))
+    with open(REFERENCE_PATH, encoding="utf-8") as fh:
+        data = json.load(fh)
     del data["copy_indexing"]
     path = tmp_path / "unpinned.json"
     path.write_text(json.dumps(data))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from matchdecomp import association, decomposition
 from matchdecomp import (
     ChoiceFunction,
     Decomposition,
@@ -15,6 +14,7 @@ from matchdecomp import (
     OneToOneMarket,
     OneToOneMatching,
     build_associated_market,
+    decompose_market,
 )
 
 
@@ -47,27 +47,6 @@ class TestLiftedPreferences:
         # the worker lists only firm B's single copy
         assert assoc.worker_prefs == ((1,),)
 
-    def test_handwritten_lift_must_match_the_rules(self, reference_assoc):
-        bad_prefs = list(reference_assoc.worker_prefs)
-        bad_prefs[0] = tuple(reversed(bad_prefs[0]))
-        with pytest.raises(MarketValidationError):
-            OneToOneMarket(
-                reference_assoc.source,
-                reference_assoc.decomposition,
-                reference_assoc.copies,
-                tuple(bad_prefs),
-            )
-
-    def test_copies_must_follow_decomposition_order(self, reference_assoc):
-        shuffled = tuple(reversed(reference_assoc.copies))
-        with pytest.raises(MarketValidationError):
-            OneToOneMarket(
-                reference_assoc.source,
-                reference_assoc.decomposition,
-                shuffled,
-                reference_assoc.worker_prefs,
-            )
-
 
 class TestRankTables:
     def test_worker_ranks_encode_the_lifted_list(self, reference_assoc):
@@ -99,33 +78,17 @@ class TestBuildValidation:
     def test_firm_count_must_match(self, reference_market):
         with pytest.raises(MarketValidationError):
             build_associated_market(reference_market, Decomposition(((),)))
+        with pytest.raises(MarketValidationError):
+            OneToOneMarket(reference_market, Decomposition(((),)))
 
-    def test_decomposing_build_verifies_each_firm_once(
-        self, reference_doc, reference_assoc, monkeypatch
-    ):
-        verified = []
-        original = decomposition.verify_decomposition
-
-        def counting(cf, orders, caps):
-            verified.append(cf)
-            return original(cf, orders, caps)
-
-        monkeypatch.setattr(decomposition, "verify_decomposition", counting)
-        monkeypatch.setattr(association, "verify_decomposition", counting)
-        market = reference_doc.market
-        assoc = build_associated_market(market, explicit=reference_doc.copy_indexing)
-        assert verified == list(market.choice_functions)
-        assert assoc.copies == reference_assoc.copies
-
-    def test_decomposition_and_explicit_indexing_exclude_each_other(
-        self, reference_doc, reference_assoc
-    ):
-        with pytest.raises(ValueError):
-            build_associated_market(
-                reference_doc.market,
-                reference_assoc.decomposition,
-                explicit=reference_doc.copy_indexing,
-            )
+    def test_explicit_family_is_verified_at_the_gate(self, reference_market):
+        # decompose_market keeps an explicit family as given; the builder
+        # still verifies it
+        explicit = {0: (LinearOrder((0, 1, 2, 3)),)}
+        decomposition = decompose_market(reference_market, explicit)
+        assert decomposition.per_firm[0] == explicit[0]
+        with pytest.raises(DecompositionMismatchError):
+            build_associated_market(reference_market, decomposition)
 
     def test_default_build_uses_lexicographic_indexing(self, reference_assoc_lex):
         sequences = [

@@ -1,10 +1,12 @@
 """The command-line surface, driven through main()."""
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from matchdecomp import cli
+from matchdecomp import choices, cli, decomposition
 from matchdecomp.cli import main
 
 from conftest import (
@@ -111,7 +113,8 @@ class TestDecompose:
         assert by_id["f2"]["orders"] == GOLDEN_ORDERS_F2
 
     def test_without_indexing_same_sets_lexicographic(self, capsys, tmp_path):
-        data = json.load(open(REFERENCE_PATH, encoding="utf-8"))
+        with open(REFERENCE_PATH, encoding="utf-8") as fh:
+            data = json.load(fh)
         del data["copy_indexing"]
         path = tmp_path / "noindex.json"
         path.write_text(json.dumps(data))
@@ -165,7 +168,10 @@ class TestSolve:
             capsys, "solve", str(path), "--proposing", "workers", "--no-release"
         )
         assert code == 3
-        assert "unstable" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == (
+            "deferred acceptance produced an unstable matching: "
+            "copy-envy witness {'copy': 'f2.6', 'envied_copy': 'f2.4'}"
+        )
         code, out, _ = run_cli(capsys, "solve", str(path), "--proposing", "workers")
         assert code == 0
 
@@ -300,6 +306,105 @@ class TestPathIndependenceRequirement:
         code, out, _ = run_cli(capsys, "check", bad_axiom_file, str(path))
         assert code == 3
         assert json.loads(out)["case"] == "firm-block"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["check"], ["enumerate", "--concept", "stable"]],
+        ids=["validate", "check", "enumerate stable"],
+    )
+    def test_copy_indexing_of_a_failing_firm_exits_2(
+        self, capsys, tmp_path, bad_axiom_file, argv
+    ):
+        # a copy_indexing entry is matched against its firm's decomposition
+        # on every load, which needs path independence
+        with open(bad_axiom_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["copy_indexing"] = {"A": [["v"]]}
+        market = tmp_path / "indexed.json"
+        market.write_text(json.dumps(data))
+        matching = tmp_path / "matching.json"
+        matching.write_text("{}")
+        extra = [str(matching)] if argv[0] == "check" else argv[1:]
+        code, out, err = run_cli(capsys, argv[0], str(market), *extra)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "decomposition requires a path-independent choice function"
+        }
+
+
+class TestOncePerFirm:
+    """Each copy-level command walks, verifies and axiom-checks each firm
+    exactly once, whether the file pins its copy indexing or not."""
+
+    COUNTED = (
+        (decomposition, "decompose"),
+        (decomposition, "verify_decomposition"),
+        (choices, "check_path_independence"),
+    )
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {name: [] for _, name in self.COUNTED}
+        for home, name in self.COUNTED:
+            original = getattr(home, name)
+
+            def counting(cf, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(cf)
+                return _original(cf, *args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module is not None and module.__name__.startswith("matchdecomp"):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.fixture(params=["indexed", "unindexed"])
+    def market_path(self, request, capsys, tmp_path):
+        if request.param == "indexed":
+            return REFERENCE_PATH
+        path = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "gen", "--workers", "4", "--firms", "3", "--max-orders", "2",
+            "--seed", "5", "--out", str(path),
+        )
+        assert code == 0
+        return str(path)
+
+    @staticmethod
+    def per_firm(calls, name):
+        return sorted(Counter(map(id, calls[name])).values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose"],
+            ["solve"],
+            ["enumerate", "--concept", "copy-stable"],
+            ["enumerate", "--concept", "classical"],
+            ["verify"],
+        ],
+        ids=["decompose", "solve", "copy-stable", "classical", "verify"],
+    )
+    def test_copy_level_commands(self, capsys, calls, market_path, argv):
+        with open(market_path, encoding="utf-8") as fh:
+            n_firms = len(json.load(fh)["firms"])
+        code, _, _ = run_cli(capsys, argv[0], market_path, *argv[1:])
+        assert code == 0
+        for name in calls:
+            assert self.per_firm(calls, name) == [1] * n_firms, name
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_firm_level_commands_verify_nothing(
+        self, capsys, tmp_path, calls, market_path, command
+    ):
+        matching = tmp_path / "matching.json"
+        matching.write_text("{}")
+        argv = [command, market_path] + ([str(matching)] if command == "check" else [])
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 3)  # check may find the empty matching blocked
+        assert calls["verify_decomposition"] == []
 
 
 class TestGen:
