@@ -183,6 +183,16 @@ class ChoiceFunction:
         choose = self.choose
         return tuple(choose(m) for m in range(1 << self.universe_size))
 
+    @cached_property
+    def _path_independence(self) -> AxiomReport:
+        # Callers guard the 2**k cost; the verdict does not depend on caps.
+        unguarded = Caps(max_workers=self.universe_size)
+        if self.kind == ORDERS or (
+            check_substitutability(self, unguarded) and check_consistency(self, unguarded)
+        ):
+            return AxiomReport("path-independence", True)
+        return _pairwise_path_independence(self)
+
 
 def canonicalize(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> ChoiceFunction:
     """Return an equivalent explicit-table choice function."""
@@ -240,14 +250,11 @@ def check_path_independence(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> Ax
     is path independent exactly when it is substitutable and consistent,
     which costs O(k**2 * 2**k + 3**k).  Only when that fails does the
     pairwise scan run, quadratic in the number of menus, to find the first
-    failing ``{first, second}`` pair as the witness.
+    failing ``{first, second}`` pair as the witness.  The verdict is kept
+    on ``cf``, so each choice function is checked at most once.
     """
     require_universe(cf.universe_size, caps)
-    if cf.kind == ORDERS or (
-        check_substitutability(cf, caps) and check_consistency(cf, caps)
-    ):
-        return AxiomReport("path-independence", True)
-    return _pairwise_path_independence(cf)
+    return cf._path_independence
 
 
 def _pairwise_path_independence(cf: ChoiceFunction) -> AxiomReport:

@@ -3,34 +3,38 @@
 Running textbook deferred acceptance on the copies would not do: copies of
 one firm act as rivals, and the result can leave one copy holding a worker
 a sibling copy ranks higher, which no copy-stable matching allows.  Both
-variants here therefore coordinate siblings.
+variants coordinate siblings by the rule ``split_matching`` uses: a copy's
+*pick* is the best worker, by its own order, among those its firm holds,
+read from one held-worker bitmask per firm, rebuilt in O(k) when read.  A
+stage costs O(k) per firm plus one O(k) pick per acting copy or held
+worker, however many copies a firm has.
 
 Copies propose (:func:`copies_propose`).  Each stage, every copy rejected
 in the previous stage may offer to the best worker in its order that has
-not rejected it yet, but only when *authorized*: no sibling copy may
-currently hold a different worker that the proposer's own order ranks above
-the target.  An unauthorized copy stays empty for the stage and re-checks
-in the next one, since the sibling hire that blocked it can itself be
-displaced later.  ``reauthorize=False`` switches to the stricter reading
-where an unauthorized copy leaves the game for good; that variant can
-strand a copy whose blocker evaporates in the very stage it left, and then
-the closing stability assertion fails.  Workers keep the best of their held
-copy and incoming offers, rejecting the rest.  The run stops after the
-first stage without any rejection.
+not rejected it yet, but only when *authorized*: the target is its pick
+from the held workers plus the target.  An unauthorized copy stays empty
+for the stage and re-checks in the next one, since the sibling hire that
+blocked it can itself be displaced later.  ``reauthorize=False`` switches
+to the stricter reading where an unauthorized copy leaves the game for
+good; that variant can strand a copy whose blocker evaporates in the very
+stage it left, and then the closing stability assertion fails.  Workers
+keep the best of their held copy and incoming offers, rejecting the rest.
+The run stops after the first stage without any rejection.
 
 Workers propose (:func:`workers_propose`).  Each stage, every previously
 rejected worker offers to the best copy in its lifted list that has not
-rejected it yet.  A copy first discards invalid offers, i.e. workers
-ranked below somebody a sibling copy held at the start of the stage, then
-keeps the best of its held worker and the remaining offers.  Invalid
-offers count as rejections.  The screen looks one way only, so a stage
-can still end with a copy holding a worker it ranks below a sibling's
-fresh arrival; each such copy then releases its worker back into the
-pool, recorded as one more rejection by the releasing copy.
-``release=False`` switches to the stricter reading where a copy never
-lets go for a sibling's sake; that variant can carry exactly this envy
-into the final matching, and then the closing stability assertion fails.
-The run stops after the first stage without any rejection.
+rejected it yet.  A copy first discards invalid offers: an offer is valid
+when the copy ranks the worker above its pick from the workers held at
+the start of the stage, or has no pick there (then even a worker it does
+not rank stays valid).  It keeps the best of its held worker and the
+valid offers; invalid offers count as rejections.  A stage can still end
+with a copy holding a worker that is not its pick; each such copy, in
+ascending order, releases its worker back into the pool, recorded as one
+more rejection by the releasing copy.  ``release=False`` switches to the
+stricter reading where a copy never lets go for a sibling's sake; that
+variant can carry exactly this envy into the final matching, and then the
+closing stability assertion fails.  The run stops after the first stage
+without any rejection.
 
 Both runs return the final matching plus a stage-by-stage trace, assert
 that the result is copy-stable, and are insensitive to the order agents
@@ -45,6 +49,7 @@ import json
 from dataclasses import dataclass
 
 from .association import OneToOneMarket
+from .bitsets import bit
 from .errors import DeferredAcceptanceError
 from .io import render_stability_report
 from .matchings import OneToOneMatching
@@ -95,6 +100,15 @@ def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> No
         )
 
 
+def _held_masks(assoc: OneToOneMarket, held_by_worker: list[int | None]) -> list[int]:
+    """Each firm's held workers, over all its copies, as one bitmask."""
+    masks = [0] * len(assoc.source.firms)
+    for w, c in enumerate(held_by_worker):
+        if c is not None:
+            masks[assoc.firm_of_copy[c]] |= 1 << w
+    return masks
+
+
 def copies_propose(
     assoc: OneToOneMarket, *, reauthorize: bool = True
 ) -> tuple[OneToOneMatching, DaTrace]:
@@ -103,13 +117,10 @@ def copies_propose(
     n_copies = len(assoc.copies)
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
-    crank = assoc.copy_rank
-    groups = assoc.copies_by_firm
     firm_of = assoc.firm_of_copy
-    orders = [copy.order.ranking for copy in assoc.copies]
+    orders = [copy.order for copy in assoc.copies]
 
     held_by_worker: list[int | None] = [None] * k
-    held_by_copy: list[int | None] = [None] * n_copies
     next_pos = [0] * n_copies
     pool = list(range(n_copies))
     stages: list[DaStage] = []
@@ -118,21 +129,17 @@ def copies_propose(
         number = len(stages) + 1
         if number > n_copies * k + 2:
             raise DeferredAcceptanceError("deferred acceptance failed to terminate")
+        held = _held_masks(assoc, held_by_worker)
         offers: dict[int, list[int]] = {}
         authorized: dict[int, bool] = {}
         pending: list[int] = []
         for c in sorted(pool):
             pos = next_pos[c]
-            if pos >= len(orders[c]):
+            order = orders[c]
+            if pos >= len(order.ranking):
                 continue  # exhausted its list; stays empty and exits
-            target = orders[c][pos]
-            row = crank[c]
-            ok = True
-            for sibling in groups[firm_of[c]]:
-                held = held_by_copy[sibling]
-                if held is not None and held != target and row[held] < row[target]:
-                    ok = False
-                    break
+            target = order.ranking[pos]
+            ok = order.best_in(held[firm_of[c]] | bit(target)) == target
             authorized[c] = ok
             if not ok:
                 if reauthorize:
@@ -146,8 +153,8 @@ def copies_propose(
         for w in sorted(offers):
             candidates = offers[w]
             row = wrank[w]
-            best = held_by_worker[w]
-            best_rank = wempty[w] if best is None else row[best]
+            previous = held_by_worker[w]
+            best_rank = wempty[w] if previous is None else row[previous]
             chosen = None
             for c in candidates:
                 if row[c] < best_rank:
@@ -157,12 +164,9 @@ def copies_propose(
                 rejected_here = sorted(candidates)
             else:
                 rejected_here = sorted(c for c in candidates if c != chosen)
-                previous = held_by_worker[w]
                 if previous is not None:
                     rejected_here = sorted(rejected_here + [previous])
-                    held_by_copy[previous] = None
                 held_by_worker[w] = chosen
-                held_by_copy[chosen] = w
             if rejected_here:
                 rejections[w] = tuple(rejected_here)
                 rejected.extend(rejected_here)
@@ -195,8 +199,8 @@ def workers_propose(
     wrank = assoc.worker_rank
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
-    groups = assoc.copies_by_firm
     firm_of = assoc.firm_of_copy
+    orders = [copy.order for copy in assoc.copies]
     prefs = assoc.worker_prefs
 
     held_by_worker: list[int | None] = [None] * k
@@ -209,7 +213,7 @@ def workers_propose(
         number = len(stages) + 1
         if number > n_copies * k + 2:
             raise DeferredAcceptanceError("deferred acceptance failed to terminate")
-        held_at_start = list(held_by_copy)
+        held = _held_masks(assoc, held_by_worker)
         offers: dict[int, list[int]] = {}
         for w in sorted(pool):
             pos = next_pos[w]
@@ -225,16 +229,12 @@ def workers_propose(
         for c in sorted(offers):
             candidates = offers[c]
             row = crank[c]
-            sibling_best = cempty[c] + 2
-            for sibling in groups[firm_of[c]]:
-                held = held_at_start[sibling]
-                if held is not None and row[held] < sibling_best:
-                    sibling_best = row[held]
-            valid = [w for w in candidates if row[w] <= sibling_best]
+            top = orders[c].best_in(held[firm_of[c]])
+            valid = [w for w in candidates if top is None or row[w] < row[top]]
             valid_offers[c] = tuple(sorted(valid))
 
-            best = held_by_copy[c]
-            best_rank = cempty[c] if best is None else row[best]
+            previous = held_by_copy[c]
+            best_rank = cempty[c] if previous is None else row[previous]
             chosen = None
             for w in valid:
                 if row[w] < best_rank:
@@ -244,7 +244,6 @@ def workers_propose(
                 rejected_here = sorted(candidates)
             else:
                 rejected_here = sorted(w for w in candidates if w != chosen)
-                previous = held_by_copy[c]
                 if previous is not None:
                     rejected_here = sorted(rejected_here + [previous])
                     held_by_worker[previous] = None
@@ -255,28 +254,16 @@ def workers_propose(
                 rejected.extend(rejected_here)
 
         if release:
-            for group in groups:
-                envious = []
-                for c in group:
-                    mine = held_by_copy[c]
-                    if mine is None:
-                        continue
-                    row = crank[c]
-                    for sibling in group:
-                        other = held_by_copy[sibling]
-                        if (
-                            sibling != c
-                            and other is not None
-                            and row[other] < row[mine]
-                        ):
-                            envious.append(c)
-                            break
-                for c in envious:
-                    dropped = held_by_copy[c]
-                    held_by_copy[c] = None
-                    held_by_worker[dropped] = None
-                    rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
-                    rejected.append(dropped)
+            held = _held_masks(assoc, held_by_worker)
+            envious = sorted(
+                (c, w) for w, c in enumerate(held_by_worker)
+                if c is not None and orders[c].best_in(held[firm_of[c]]) != w
+            )
+            for c, dropped in envious:
+                held_by_copy[c] = None
+                held_by_worker[dropped] = None
+                rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
+                rejected.append(dropped)
 
         snapshot = OneToOneMatching(tuple(held_by_worker), n_copies)
         stages.append(

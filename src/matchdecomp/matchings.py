@@ -95,7 +95,11 @@ class OneToOneMatching:
         """Build from ``{copy label: worker label}``; omitted agents are unmatched."""
         by_worker: list[int | None] = [None] * len(assoc.source.workers)
         for copy_label, worker_label in assignment.items():
+            if copy_label not in assoc.copy_index:
+                raise MarketValidationError(f"unknown copy {copy_label!r}")
             c = assoc.copy_index[copy_label]
+            if worker_label not in assoc.source.worker_index:
+                raise MarketValidationError(f"unknown worker {worker_label!r}")
             w = assoc.source.worker_index[worker_label]
             if by_worker[w] is not None:
                 raise MarketValidationError(f"worker {worker_label} assigned twice")

@@ -133,6 +133,17 @@ class TestMatchingContainers:
         assert matching.by_worker == (0, None, None, 9)
         assert matching.by_copy[9] == 3
 
+    @pytest.mark.parametrize(
+        "assignment,message",
+        [({"f9.1": "w1"}, "unknown copy 'f9.1'"), ({"f1.1": "zz"}, "unknown worker 'zz'")],
+        ids=["copy", "worker"],
+    )
+    def test_copy_assignments_reject_unknown_labels(
+        self, reference_assoc, assignment, message
+    ):
+        with pytest.raises(MarketValidationError, match=message):
+            OneToOneMatching.from_copy_assignments(reference_assoc, assignment)
+
     def test_copies_hold_at_most_one_worker(self):
         with pytest.raises(MarketValidationError):
             OneToOneMatching((0, 0), 2)

@@ -194,6 +194,13 @@ class TestAxioms:
     def test_path_independence_report_matches_the_pairwise_scan(self, cf):
         assert check_path_independence(cf) == _pairwise_path_independence(cf)
 
+    def test_verdict_is_kept_but_the_cap_still_applies(self):
+        cf = ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)
+        first = check_path_independence(cf)
+        assert check_path_independence(cf) is first
+        with pytest.raises(CapExceededError):
+            check_path_independence(cf, Caps(max_workers=2))
+
     def test_orders_firm_universe_cap_enforced(self):
         caps = Caps(max_workers=2, max_orders=10, max_candidates=100)
         cf = ChoiceFunction.from_orders((LinearOrder((2, 0)),), 3)

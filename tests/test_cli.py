@@ -406,6 +406,21 @@ class TestOncePerFirm:
         assert code in (0, 3)  # check may find the empty matching blocked
         assert calls["verify_decomposition"] == []
 
+    def test_validate_scans_each_indexed_firm_once(self, capsys, monkeypatch):
+        # the reference firms are subset rankings with a copy indexing:
+        # loading decomposes them, and the report reuses that verdict
+        scanned = []
+        original = choices.check_substitutability
+
+        def counting(cf, *args, **kwargs):
+            scanned.append(cf)
+            return original(cf, *args, **kwargs)
+
+        monkeypatch.setattr(choices, "check_substitutability", counting)
+        code, _, _ = run_cli(capsys, "validate", REFERENCE_PATH)
+        assert code == 0
+        assert len(scanned) == 2
+
 
 class TestGen:
     def test_gen_writes_a_loadable_market(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from matchdecomp import (
     GenParams,
     LinearOrder,
     ManyToOneMarket,
+    build_associated_market,
     check_copy_stable,
     copies_propose,
     merge_matching,
@@ -157,6 +158,21 @@ class TestWorkersPropose:
         with pytest.raises(RuntimeError, match="unstable") as caught:
             workers_propose(assoc, release=False)
         assert isinstance(caught.value, DeferredAcceptanceError)
+
+    def test_an_unranked_offer_stays_valid_while_no_held_worker_is_ranked(self):
+        # f1.1 ranks w1, w4, w3 only; nothing is held in stage 1, so w2's
+        # offer passes the screen and is then rejected, not screened out
+        market = random_market(
+            GenParams(workers=4, firms=2, max_orders=3, density=0.8, seed=1)
+        )
+        assoc = build_associated_market(market)
+        _, trace = workers_propose(assoc)
+        labels, workers = assoc.copy_labels, market.workers
+        f11 = labels.index("f1.1")
+        assert [workers[w] for w in assoc.copies[f11].order.ranking] == ["w1", "w4", "w3"]
+        first = trace.stages[0]
+        assert [workers[w] for w in first.valid_offers[f11]] == ["w2", "w4"]
+        assert [workers[w] for w in first.rejections[f11]] == ["w2"]
 
     def test_worker_with_empty_list_stays_single(self):
         cf = ChoiceFunction.from_orders((LinearOrder((0, 1)),), 2)
