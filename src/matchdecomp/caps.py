@@ -22,8 +22,9 @@ class Caps:
         (2**k menus) is attempted.
     max_orders: largest number of distinct linear orders a single firm's
         decomposition may produce.
-    max_candidates: largest candidate count an exhaustive matching
-        enumerator may scan.
+    max_candidates: largest candidate count a matching enumerator may
+        search: the product over workers of one plus the partners each
+        worker is offered.
     """
 
     max_workers: int = 16

@@ -28,7 +28,9 @@ Substitutability, consistency and the law of aggregate demand enumerate
 menus exhaustively.  Path independence holds for every ``orders`` function
 by construction and is decided through the other two axioms for the rest;
 only a failing function gets the exhaustive pairwise scan, which finds its
-witness.
+witness.  A function keeps its substitutability and path-independence
+verdicts, which the firm-level stable-set search shares with
+``check_path_independence``.
 
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
@@ -183,12 +185,20 @@ class ChoiceFunction:
         choose = self.choose
         return tuple(choose(m) for m in range(1 << self.universe_size))
 
+    # The verdicts below are kept, so each function is scanned at most once.
+    # Callers guard the 2**k cost; a verdict does not depend on caps.
+
+    @cached_property
+    def _substitutable(self) -> bool:
+        if self.kind == ORDERS:
+            return True
+        return check_substitutability(self, Caps(max_workers=self.universe_size)).passed
+
     @cached_property
     def _path_independence(self) -> AxiomReport:
-        # Callers guard the 2**k cost; the verdict does not depend on caps.
-        unguarded = Caps(max_workers=self.universe_size)
-        if self.kind == ORDERS or (
-            check_substitutability(self, unguarded) and check_consistency(self, unguarded)
+        if self._substitutable and (
+            self.kind == ORDERS
+            or check_consistency(self, Caps(max_workers=self.universe_size))
         ):
             return AxiomReport("path-independence", True)
         return _pairwise_path_independence(self)

@@ -131,12 +131,12 @@ def _cmd_solve(args, caps) -> int:
 def _cmd_enumerate(args, caps) -> int:
     doc = load_market(args.market, caps)
     concept = _CONCEPTS[args.concept]
+    pruned = not args.unpruned
     if concept == "stable":
-        found = enumerate_stable(doc.market, caps)
+        found = enumerate_stable(doc.market, caps, pruned=pruned)
         rendered = [m.render(doc.market) for m in found]
     else:
         assoc = _assoc_for(doc, caps)
-        pruned = not args.unpruned
         if concept == "copy-stable":
             found = enumerate_copy_stable(assoc, caps, pruned=pruned)
         else:

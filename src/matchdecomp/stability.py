@@ -21,22 +21,27 @@ Three notions live here:
 
 Checkers return the first violation in a fixed scan order (cases in the
 order listed in each docstring; agents by ascending index; pairs
-lexicographic), so witnesses are deterministic.  Enumerators scan every
-candidate assignment, filter with the matching checker, and return results
-sorted by the worker-side assignment tuple.  Pruned enumeration skips
-partner pairs that individual rationality (and, for ``copy_stable``, sibling
-envy) already rules out; soundness of the pruning is covered by comparing
-against unpruned runs in the test suite.
+lexicographic), so witnesses are deterministic.  Enumerators place workers
+depth first in index order, cut branches that no completion can make
+stable, filter every complete assignment with the matching checker, and
+return results sorted by the worker-side assignment tuple.  The cuts: a
+worker is offered only partners that individual rationality allows; at the
+firm level a substitutable firm takes a worker only while it would keep
+everyone it then holds; for ``copy_stable`` no copy may envy a settled
+sibling's worker; for ``classical_stable`` no pair whose two partners are
+both settled may block.  Unpruned enumeration scans every candidate
+assignment and is kept as the oracle the test suite compares against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 
 from .association import OneToOneMarket
 from .bitsets import bit
 from .caps import DEFAULT_CAPS, Caps, require_candidates
+from .choices import ORDERS
 from .errors import MarketValidationError
 from .markets import ManyToOneMarket
 from .matchings import ManyToOneMatching, OneToOneMatching
@@ -97,18 +102,58 @@ def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> Stabil
 
 
 def enumerate_stable(
-    market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS
+    market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS, pruned: bool = True
 ) -> list[ManyToOneMatching]:
-    """Every stable matching, by scanning all worker-to-firm assignments."""
+    """Every stable matching, by a depth-first search over workers.
+
+    Pruned, each worker is offered only the firms it finds acceptable, and
+    a substitutable firm takes a worker only while it would keep everyone
+    it then holds: a set such a firm would not keep has no superset it
+    keeps.  A firm that fails substitutability, or is too large for the
+    check, keeps every option.  Unpruned, every worker-to-firm assignment
+    is a candidate.  The candidate cap bounds the product of the options.
+    """
     k = len(market.workers)
     n = len(market.firms)
-    require_candidates((n + 1) ** k, caps)
-    options: tuple[int | None, ...] = (None, *range(n))
+    cfs = market.choice_functions
+    if pruned:
+        options = market.worker_prefs
+        screened = [
+            (cf.kind == ORDERS or cf.universe_size <= caps.max_workers)
+            and cf._substitutable
+            for cf in cfs
+        ]
+    else:
+        options = (tuple(range(n)),) * k
+        screened = [False] * n
+    require_candidates(prod(1 + len(opts) for opts in options), caps)
+
+    # a worker without options stays unmatched, so the depth is bounded by
+    # the cap rather than by the market size
+    movable = [w for w in range(k) if options[w]]
+    held = [0] * n
+    assignment: list[int | None] = [None] * k
     found = []
-    for combo in product(options, repeat=k):
-        candidate = ManyToOneMatching(combo, n)
-        if check_stable(market, candidate).stable:
-            found.append(candidate)
+
+    def place(i: int) -> None:
+        if i == len(movable):
+            candidate = ManyToOneMatching(tuple(assignment), n)
+            if check_stable(market, candidate).stable:
+                found.append(candidate)
+            return
+        w = movable[i]
+        place(i + 1)
+        for f in options[w]:
+            grown = held[f] | bit(w)
+            if screened[f] and cfs[f].choose(grown) != grown:
+                continue
+            held[f] = grown
+            assignment[w] = f
+            place(i + 1)
+            held[f] = grown ^ bit(w)
+        assignment[w] = None
+
+    place(0)
     found.sort(key=lambda m: m.key)
     return found
 
@@ -229,11 +274,64 @@ def check_classical_stable(
     return StabilityReport(True)
 
 
+def _envy_cut(assoc: OneToOneMarket):
+    """Cut ``w`` on ``c`` when ``c`` and a settled sibling envy each other's worker."""
+    crank = assoc.copy_rank
+    firm_of = assoc.firm_of_copy
+
+    def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
+        if c is None:
+            return False
+        row = crank[c]
+        mine = row[w]
+        firm = firm_of[c]
+        for other_w in range(w):
+            other_c = assignment[other_w]
+            if (
+                other_c is not None
+                and firm_of[other_c] == firm
+                and (row[other_w] < mine or crank[other_c][w] < crank[other_c][other_w])
+            ):
+                return True
+        return False
+
+    return cut
+
+
+def _settled_block_cut(assoc: OneToOneMarket):
+    """Cut ``w`` on ``c`` (or unmatched) when a pair of settled partners blocks.
+
+    A copy holding an earlier worker is settled, and so is every earlier
+    worker; a block between settled partners survives every completion.
+    """
+    wrank = assoc.worker_rank
+    wempty = assoc.worker_empty_rank
+    crank = assoc.copy_rank
+
+    def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
+        mine = wempty[w] if c is None else wrank[w][c]
+        row = None if c is None else crank[c]
+        for other_w in range(w):
+            other_c = assignment[other_w]
+            if other_c is None:
+                theirs = wempty[other_w]
+            else:
+                theirs = wrank[other_w][other_c]
+                other_row = crank[other_c]
+                if other_row[w] < other_row[other_w] and wrank[w][other_c] < mine:
+                    return True
+            if row is not None and row[other_w] < row[w] and wrank[other_w][c] < theirs:
+                return True
+        return False
+
+    return cut
+
+
 def _enumerate_one_to_one(
     assoc: OneToOneMarket,
     caps: Caps,
     pruned: bool,
-    envy_prune: bool,
+    cut,
     accept,
 ) -> list[OneToOneMatching]:
     k = len(assoc.source.workers)
@@ -242,20 +340,16 @@ def _enumerate_one_to_one(
     cempty = assoc.copy_empty_rank
     if pruned:
         options = [
-            tuple(c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c])
+            (None, *(c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c]))
             for w in range(k)
         ]
     else:
-        options = [tuple(range(n_copies))] * k
-    bound = 1
-    for opts in options:
-        bound *= 1 + len(opts)
-    require_candidates(bound, caps)
+        options = [(None, *range(n_copies))] * k
+        cut = None
+    require_candidates(prod(len(opts) for opts in options), caps)
 
-    firm_of = assoc.firm_of_copy
     found = []
     assignment: list[int | None] = [None] * k
-    firm_assigned: list[list[tuple[int, int]]] = [[] for _ in assoc.source.firms]
 
     def place(w: int, used: int) -> None:
         if w == k:
@@ -263,25 +357,14 @@ def _enumerate_one_to_one(
             if accept(candidate):
                 found.append(candidate)
             return
-        assignment[w] = None
-        place(w + 1, used)
         for c in options[w]:
-            if used >> c & 1:
+            if c is not None and used >> c & 1:
                 continue
-            group = firm_assigned[firm_of[c]]
-            if envy_prune:
-                row = crank[c]
-                mine = row[w]
-                if any(
-                    row[other_w] < mine or crank[other_c][w] < crank[other_c][other_w]
-                    for other_c, other_w in group
-                ):
-                    continue
+            if cut is not None and cut(assignment, w, c):
+                continue
             assignment[w] = c
-            group.append((c, w))
-            place(w + 1, used | 1 << c)
-            group.pop()
-            assignment[w] = None
+            place(w + 1, used if c is None else used | 1 << c)
+        assignment[w] = None
 
     place(0, 0)
     found.sort(key=lambda m: m.key)
@@ -296,7 +379,7 @@ def enumerate_copy_stable(
         assoc,
         caps,
         pruned,
-        envy_prune=pruned,
+        _envy_cut(assoc),
         accept=lambda m: check_copy_stable(assoc, m).stable,
     )
 
@@ -309,6 +392,6 @@ def enumerate_classical_stable(
         assoc,
         caps,
         pruned,
-        envy_prune=False,
+        _settled_block_cut(assoc),
         accept=lambda m: check_classical_stable(assoc, m).stable,
     )

@@ -105,6 +105,16 @@ def family_association(market: ManyToOneMarket):
     return build_associated_market(market, Decomposition(per_firm))
 
 
+def with_first_firm(market: ManyToOneMarket, cf: ChoiceFunction) -> ManyToOneMarket:
+    """The same market with its first firm's choice function replaced."""
+    return ManyToOneMarket(
+        market.workers,
+        market.firms,
+        (cf, *market.choice_functions[1:]),
+        market.worker_prefs,
+    )
+
+
 @pytest.fixture(scope="session")
 def reference_doc():
     return load_market(REFERENCE_PATH)
@@ -160,6 +170,19 @@ def three_worker_market():
         ("A", "B"),
         (fa, fb),
         ((1, 0), (0, 1), (0, 1)),
+    )
+
+
+@pytest.fixture(scope="session")
+def sparse_market():
+    """4 workers and 3 firms; each worker finds one firm acceptable.
+
+    The firm-level candidates number (3 + 1)**4 = 256 unpruned, but only
+    (1 + 1)**4 = 16 over the workers' acceptable firms.
+    """
+    cf = ChoiceFunction.from_orders((LinearOrder((0, 1, 2, 3)),), 4)
+    return ManyToOneMarket(
+        ("a", "b", "c", "d"), ("X", "Y", "Z"), (cf, cf, cf), ((0,), (1,), (2,), (0,))
     )
 
 

@@ -218,3 +218,6 @@ def test_criterion_9_pruned_and_unpruned_enumeration_agree(
         assert enumerate_classical_stable(
             assoc, pruned=True
         ) == enumerate_classical_stable(assoc, pruned=False)
+        assert enumerate_stable(assoc.source, pruned=True) == enumerate_stable(
+            assoc.source, pruned=False
+        )

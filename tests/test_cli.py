@@ -6,7 +6,16 @@ from collections import Counter
 
 import pytest
 
-from matchdecomp import choices, cli, decomposition
+from matchdecomp import (
+    GenParams,
+    MarketDocument,
+    canonicalize,
+    choices,
+    cli,
+    decomposition,
+    dump_market,
+    random_market,
+)
 from matchdecomp.cli import main
 
 from conftest import (
@@ -17,6 +26,8 @@ from conftest import (
     MU_FIRM,
     REFERENCE_PATH,
     TABLE_BOTH_FAIL,
+    TABLE_SUBST_FAIL,
+    with_first_firm,
 )
 
 
@@ -31,6 +42,11 @@ def last_json(out: str) -> dict:
     # pretty-printed object, which starts at the last unindented "{"
     start = out.rindex("\n{") + 1 if "\n{" in out else 0
     return json.loads(out[start:])
+
+
+def write_market(path, market) -> str:
+    path.write_text(dump_market(MarketDocument(market)))
+    return str(path)
 
 
 @pytest.fixture()
@@ -209,6 +225,37 @@ class TestEnumerate:
             capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable", "--unpruned"
         )
         assert fast == slow
+
+    @pytest.mark.parametrize("concept", ["stable", "copy-stable", "classical"])
+    @pytest.mark.parametrize("which", ["reference", "not-substitutable"])
+    def test_unpruned_output_is_identical(self, capsys, tmp_path, concept, which):
+        # the second market's first firm is a table that is not
+        # substitutable: the firm level keeps its every option, and the
+        # copy level exits 2 either way
+        path = REFERENCE_PATH
+        if which == "not-substitutable":
+            market = random_market(GenParams(workers=3, firms=2, max_orders=2, seed=4))
+            table = choices.ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)
+            path = write_market(tmp_path / "m.json", with_first_firm(market, table))
+        argv = ["enumerate", path, "--concept", concept]
+        fast = run_cli(capsys, *argv)
+        assert fast == run_cli(capsys, *argv, "--unpruned")
+        assert fast[0] == (2 if which != "reference" and concept != "stable" else 0)
+
+    def test_candidate_cap_bounds_the_pruned_product(
+        self, capsys, monkeypatch, tmp_path, sparse_market
+    ):
+        # 16 candidates over the acceptable firms, 256 over all of them
+        path = write_market(tmp_path / "sparse.json", sparse_market)
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "100")
+        code, out, _ = run_cli(capsys, "enumerate", path, "--concept", "stable")
+        assert code == 0
+        assert json.loads(out)["count"] == 1
+        code, out, err = run_cli(
+            capsys, "enumerate", path, "--concept", "stable", "--unpruned"
+        )
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": "256 candidates exceed enumeration cap 100"}
 
     def test_stable_set_contents(self, capsys):
         _, out, _ = run_cli(capsys, "enumerate", REFERENCE_PATH, "--concept", "stable")
@@ -420,6 +467,32 @@ class TestOncePerFirm:
         code, _, _ = run_cli(capsys, "validate", REFERENCE_PATH)
         assert code == 0
         assert len(scanned) == 2
+
+
+    @pytest.mark.parametrize("argv", [["verify"], ["enumerate", "--concept", "stable"]])
+    @pytest.mark.parametrize("which", ["reference", "table"])
+    def test_substitutability_is_scanned_once_per_firm(
+        self, capsys, monkeypatch, tmp_path, argv, which
+    ):
+        # the firm-level cut reuses the verdict that path independence
+        # keeps; an orders firm is substitutable without a scan
+        if which == "reference":
+            path, expected = REFERENCE_PATH, [1, 1]
+        else:
+            market = random_market(GenParams(workers=4, firms=2, max_orders=2, seed=3))
+            table = canonicalize(market.choice_functions[0])
+            path, expected = write_market(tmp_path / "m.json", with_first_firm(market, table)), [1]
+        scanned = []
+        original = choices.check_substitutability
+
+        def counting(cf, *args, **kwargs):
+            scanned.append(cf)
+            return original(cf, *args, **kwargs)
+
+        monkeypatch.setattr(choices, "check_substitutability", counting)
+        code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        assert self.per_firm({"scans": scanned}, "scans") == expected
 
 
 class TestGen:

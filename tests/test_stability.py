@@ -1,5 +1,7 @@
 """Stability checkers and exhaustive enumeration, on both market forms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from matchdecomp import (
     check_classical_stable,
     check_copy_stable,
     check_stable,
+    check_substitutability,
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
@@ -33,6 +36,7 @@ from conftest import (
     firm_sets,
     m1,
     m11,
+    with_first_firm,
 )
 
 
@@ -179,6 +183,71 @@ class TestPruning:
         caps = Caps(max_workers=16, max_orders=5040, max_candidates=1000)
         with pytest.raises(CapExceededError):
             enumerate_copy_stable(reference_assoc, caps)
+
+    def test_reference_firm_level_pruned_equals_unpruned(self, reference_market):
+        assert enumerate_stable(reference_market) == enumerate_stable(
+            reference_market, pruned=False
+        )
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_firm_level_random_markets_agree(self, seed):
+        # odd seeds swap the first firm for a random table, which as a
+        # rule is not substitutable and must then keep every option
+        k = 2 + seed % 4
+        market = random_market(
+            GenParams(workers=k, firms=1 + seed % 3, max_orders=2, density=0.8, seed=seed)
+        )
+        if seed % 2:
+            rng = random.Random(seed)
+            table = ChoiceFunction.from_table(
+                [rng.randrange(1 << k) & menu for menu in range(1 << k)], k
+            )
+            market = with_first_firm(market, table)
+        assert enumerate_stable(market) == enumerate_stable(market, pruned=False)
+
+    def test_complementary_firm_keeps_its_pair(self):
+        # C({a, b}) = {a, b} but C({a}) = C({b}) = {}: the firm would not
+        # keep a alone, yet it keeps a beside b, so the substitutable-firm
+        # cut must not apply to it
+        cf = ChoiceFunction.from_table((0, 0, 0, 3), 2)
+        assert not check_substitutability(cf).passed
+        market = ManyToOneMarket(("a", "b"), ("A",), (cf,), ((0,), (0,)))
+        found = [firm_sets(market, m) for m in enumerate_stable(market)]
+        assert found == [{}, {"A": ["a", "b"]}]
+
+    def test_firm_too_large_to_check_is_not_pruned(self, reference_market):
+        # subset-ranking firms over 4 workers, checked under a 3-worker cap:
+        # no cap error, and no substitutability scan
+        market = ManyToOneMarket(
+            reference_market.workers,
+            reference_market.firms,
+            tuple(
+                ChoiceFunction.from_subset_ranking(cf.ranking, cf.universe_size)
+                for cf in reference_market.choice_functions
+            ),
+            reference_market.worker_prefs,
+        )
+        caps = Caps(max_workers=3)
+        assert enumerate_stable(market, caps) == enumerate_stable(reference_market)
+        assert all("_substitutable" not in vars(cf) for cf in market.choice_functions)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_classical_random_markets_agree(self, seed):
+        market = random_market(
+            GenParams(
+                workers=3 + seed % 3, firms=2 + seed % 2, max_orders=2, density=0.8, seed=seed
+            )
+        )
+        assoc = family_association(market)
+        assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
+            assoc, pruned=False
+        )
+
+    def test_firm_level_cap_bounds_the_pruned_product(self, sparse_market):
+        caps = Caps(max_candidates=100)
+        assert enumerate_stable(sparse_market, caps) == enumerate_stable(sparse_market)
+        with pytest.raises(CapExceededError):
+            enumerate_stable(sparse_market, caps, pruned=False)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
