@@ -187,6 +187,15 @@ def check_count_invariance(
     stable: list[ManyToOneMatching] | None = None,
     copy_stable: list[OneToOneMatching] | None = None,
 ) -> CountInvarianceReport:
+    """Compare fill counts across both stable sets, judged only under LAD.
+
+    ``stable`` and ``copy_stable`` default to the exhaustive sets of
+    ``assoc.source`` and ``assoc``; pass them to reuse sets already
+    enumerated.  The verdict is ``fail`` when every firm satisfies the law
+    of aggregate demand but some firm's copy fill count, some firm's hire
+    count or some worker's matched status differs between two matchings,
+    and ``premise-unmet`` when some firm fails that law.
+    """
     source = assoc.source
     if stable is None:
         stable = enumerate_stable(source, caps)

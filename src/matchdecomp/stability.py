@@ -28,9 +28,15 @@ return results sorted by the worker-side assignment tuple.  The cuts: a
 worker is offered only partners that individual rationality allows; at the
 firm level a substitutable firm takes a worker only while it would keep
 everyone it then holds; for ``copy_stable`` no copy may envy a settled
-sibling's worker; for ``classical_stable`` no pair whose two partners are
-both settled may block.  Unpruned enumeration scans every candidate
-assignment and is kept as the oracle the test suite compares against.
+sibling's worker; and both copy-level notions cut a copy-worker pair that
+blocks once its verdict is final.  Such a pair blocks when the worker
+prefers the copy to its partner and no copy of the shield group -- the
+copy and its siblings for ``copy_stable``, the copy alone for
+``classical_stable`` -- holds a worker the copy ranks higher.  Only a
+worker that can still land on the group could shield the pair, so the
+verdict is final once the worker and every such worker are placed.
+Unpruned enumeration scans every candidate assignment and is kept as the
+oracle the test suite compares against.
 """
 
 from __future__ import annotations
@@ -298,29 +304,42 @@ def _envy_cut(assoc: OneToOneMarket):
     return cut
 
 
-def _settled_block_cut(assoc: OneToOneMarket):
-    """Cut ``w`` on ``c`` (or unmatched) when a pair of settled partners blocks.
+def _settled_pair_cut(assoc: OneToOneMarket, options, shield_of: tuple[int, ...]):
+    """Cut a partial assignment once a pair whose verdict is final blocks.
 
-    A copy holding an earlier worker is settled, and so is every earlier
-    worker; a block between settled partners survives every completion.
+    A copy ``c`` and a worker ``w`` it ranks block when ``w`` prefers ``c``
+    to its partner and no copy of ``c``'s shield group (copies sharing
+    ``shield_of[c]``) holds a worker ``c`` ranks above ``w``.  Only a
+    worker that can land on the group shields the pair, so its verdict is
+    final once ``w`` and every such worker are placed: ``final[d]`` lists
+    the pairs that settle when worker ``d`` is placed.
     """
+    k = len(options)
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
     crank = assoc.copy_rank
+    reach = [{shield_of[c] for c in opts if c is not None} for opts in options]
+    final = [[] for _ in range(k)]
+    for w, opts in enumerate(options):
+        for c in opts:
+            if c is None:
+                continue
+            row = crank[c]
+            group = shield_of[c]
+            shielders = tuple(
+                v for v in range(k) if row[v] < row[w] and group in reach[v]
+            )
+            final[max((w, *shielders))].append((w, wrank[w][c], group, shielders))
 
-    def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
-        mine = wempty[w] if c is None else wrank[w][c]
-        row = None if c is None else crank[c]
-        for other_w in range(w):
-            other_c = assignment[other_w]
-            if other_c is None:
-                theirs = wempty[other_w]
-            else:
-                theirs = wrank[other_w][other_c]
-                other_row = crank[other_c]
-                if other_row[w] < other_row[other_w] and wrank[w][other_c] < mine:
-                    return True
-            if row is not None and row[other_w] < row[w] and wrank[other_w][c] < theirs:
+    def cut(assignment: list[int | None], d: int) -> bool:
+        for w, rank_c, group, shielders in final[d]:
+            current = assignment[w]
+            if rank_c >= (wempty[w] if current is None else wrank[w][current]):
+                continue
+            if not any(
+                assignment[v] is not None and shield_of[assignment[v]] == group
+                for v in shielders
+            ):
                 return True
         return False
 
@@ -331,8 +350,9 @@ def _enumerate_one_to_one(
     assoc: OneToOneMarket,
     caps: Caps,
     pruned: bool,
-    cut,
+    shield_of: tuple[int, ...],
     accept,
+    envy=None,
 ) -> list[OneToOneMatching]:
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
@@ -345,8 +365,9 @@ def _enumerate_one_to_one(
         ]
     else:
         options = [(None, *range(n_copies))] * k
-        cut = None
+        envy = None
     require_candidates(prod(len(opts) for opts in options), caps)
+    settled = _settled_pair_cut(assoc, options, shield_of) if pruned else None
 
     found = []
     assignment: list[int | None] = [None] * k
@@ -360,9 +381,11 @@ def _enumerate_one_to_one(
         for c in options[w]:
             if c is not None and used >> c & 1:
                 continue
-            if cut is not None and cut(assignment, w, c):
+            if envy is not None and envy(assignment, w, c):
                 continue
             assignment[w] = c
+            if settled is not None and settled(assignment, w):
+                continue
             place(w + 1, used if c is None else used | 1 << c)
         assignment[w] = None
 
@@ -379,8 +402,9 @@ def enumerate_copy_stable(
         assoc,
         caps,
         pruned,
-        _envy_cut(assoc),
+        assoc.firm_of_copy,
         accept=lambda m: check_copy_stable(assoc, m).stable,
+        envy=_envy_cut(assoc),
     )
 
 
@@ -392,6 +416,6 @@ def enumerate_classical_stable(
         assoc,
         caps,
         pruned,
-        _settled_block_cut(assoc),
+        tuple(range(len(assoc.copies))),
         accept=lambda m: check_classical_stable(assoc, m).stable,
     )

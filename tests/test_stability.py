@@ -24,7 +24,9 @@ from matchdecomp import (
     enumerate_copy_stable,
     enumerate_stable,
     random_market,
+    split_matching,
 )
+from matchdecomp import stability
 
 from conftest import (
     GOLDEN_COPY_STABLE,
@@ -178,6 +180,64 @@ class TestPruning:
         assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
             assoc, pruned=False
         )
+
+    @pytest.mark.parametrize(
+        "seed, firms",
+        [(46, 3), (55, 3), (75, 3), (103, 3), (105, 3), (118, 2), (118, 3), (223, 3),
+         (295, 2), (312, 3)],
+    )
+    def test_dense_markets_with_several_matchings_agree(self, seed, firms):
+        # k=4 markets picked for a copy-stable set of two or more, so that
+        # the settled-pair cut has matchings to lose; each unpruned scan is
+        # bounded by (copies + 1)**4 <= 6561
+        market = random_market(
+            GenParams(workers=4, firms=firms, max_orders=3, density=1.0, seed=seed)
+        )
+        assoc = family_association(market)
+        found = enumerate_copy_stable(assoc)
+        assert len(found) >= 2
+        assert found == enumerate_copy_stable(assoc, pruned=False)
+        assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
+            assoc, pruned=False
+        )
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_copy_stable_is_the_split_image_of_the_firm_level_scan(self, seed):
+        # an oracle that shares no cut with the copy-level search: the full
+        # firm-level scan, carried over by the proven bijection
+        market = random_market(
+            GenParams(
+                workers=5 + seed % 2, firms=2 + seed // 2 % 2, max_orders=3, density=1.0,
+                seed=seed,
+            )
+        )
+        assoc = family_association(market)
+        image = [split_matching(assoc, m) for m in enumerate_stable(market, pruned=False)]
+        assert enumerate_copy_stable(assoc) == sorted(image, key=lambda m: m.key)
+
+    @pytest.mark.parametrize(
+        "enumerate_set, checker, size, most",
+        [
+            (enumerate_copy_stable, "check_copy_stable", 4, 8),
+            (enumerate_classical_stable, "check_classical_stable", 1, 4),
+        ],
+    )
+    def test_reference_leaf_checks_stay_few(
+        self, reference_assoc, monkeypatch, enumerate_set, checker, size, most
+    ):
+        # the full product holds thousands of complete assignments; the
+        # cuts leave at most a handful for the leaf checker
+        check = getattr(stability, checker)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        monkeypatch.setattr(stability, checker, counted)
+        assert len(enumerate_set(reference_assoc)) == size
+        assert calls <= most
 
     def test_one_to_one_candidate_cap(self, reference_assoc):
         caps = Caps(max_workers=16, max_orders=5040, max_candidates=1000)
