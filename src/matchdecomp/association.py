@@ -59,6 +59,10 @@ class OneToOneMarket:
         )
 
     @cached_property
+    def copy_orders(self) -> tuple[LinearOrder, ...]:
+        return tuple(copy.order for copy in self.copies)
+
+    @cached_property
     def copies_by_firm(self) -> tuple[tuple[int, ...], ...]:
         groups: list[list[int]] = [[] for _ in self.source.firms]
         for c, copy in enumerate(self.copies):

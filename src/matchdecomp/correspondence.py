@@ -67,7 +67,7 @@ def split_matching(
             continue
         taken: dict[int, int] = {}
         for c in assoc.copies_by_firm[f]:
-            best = assoc.copies[c].order.best_in(hired)
+            best = assoc.copy_orders[c].best_in(hired)
             if best is not None and best not in taken:
                 taken[best] = c
         for w in iter_indices(hired):

@@ -5,9 +5,10 @@ one firm act as rivals, and the result can leave one copy holding a worker
 a sibling copy ranks higher, which no copy-stable matching allows.  Both
 variants coordinate siblings by the rule ``split_matching`` uses: a copy's
 *pick* is the best worker, by its own order, among those its firm holds,
-read from one held-worker bitmask per firm, rebuilt in O(k) when read.  A
-stage costs O(k) per firm plus one O(k) pick per acting copy or held
-worker, however many copies a firm has.
+read from one held-worker bitmask per firm, kept in step with each hire,
+replacement and release.  A stage costs one O(k) pick per acting copy
+and, for the release, per worker held by a firm that hired in the stage,
+however many copies a firm has.
 
 Copies propose (:func:`copies_propose`).  Each stage, every copy rejected
 in the previous stage may offer to the best worker in its order that has
@@ -49,7 +50,7 @@ import json
 from dataclasses import dataclass
 
 from .association import OneToOneMarket
-from .bitsets import bit
+from .bitsets import bit, iter_indices
 from .errors import DeferredAcceptanceError
 from .io import render_stability_report
 from .matchings import OneToOneMatching
@@ -100,15 +101,6 @@ def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> No
         )
 
 
-def _held_masks(assoc: OneToOneMarket, held_by_worker: list[int | None]) -> list[int]:
-    """Each firm's held workers, over all its copies, as one bitmask."""
-    masks = [0] * len(assoc.source.firms)
-    for w, c in enumerate(held_by_worker):
-        if c is not None:
-            masks[assoc.firm_of_copy[c]] |= 1 << w
-    return masks
-
-
 def copies_propose(
     assoc: OneToOneMarket, *, reauthorize: bool = True
 ) -> tuple[OneToOneMatching, DaTrace]:
@@ -118,9 +110,10 @@ def copies_propose(
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
     firm_of = assoc.firm_of_copy
-    orders = [copy.order for copy in assoc.copies]
+    orders = assoc.copy_orders
 
     held_by_worker: list[int | None] = [None] * k
+    held = [0] * len(assoc.source.firms)  # each firm's held workers
     next_pos = [0] * n_copies
     pool = list(range(n_copies))
     stages: list[DaStage] = []
@@ -129,11 +122,11 @@ def copies_propose(
         number = len(stages) + 1
         if number > n_copies * k + 2:
             raise DeferredAcceptanceError("deferred acceptance failed to terminate")
-        held = _held_masks(assoc, held_by_worker)
+        # proposers visit in ascending order, so every offer list is sorted
         offers: dict[int, list[int]] = {}
         authorized: dict[int, bool] = {}
         pending: list[int] = []
-        for c in sorted(pool):
+        for c in pool:
             pos = next_pos[c]
             order = orders[c]
             if pos >= len(order.ranking):
@@ -161,11 +154,13 @@ def copies_propose(
                     best_rank = row[c]
                     chosen = c
             if chosen is None:
-                rejected_here = sorted(candidates)
+                rejected_here = candidates
             else:
-                rejected_here = sorted(c for c in candidates if c != chosen)
+                rejected_here = [c for c in candidates if c != chosen]
                 if previous is not None:
                     rejected_here = sorted(rejected_here + [previous])
+                    held[firm_of[previous]] ^= bit(w)
+                held[firm_of[chosen]] |= bit(w)
                 held_by_worker[w] = chosen
             if rejected_here:
                 rejections[w] = tuple(rejected_here)
@@ -175,7 +170,7 @@ def copies_propose(
         stages.append(
             DaStage(
                 number,
-                {w: tuple(sorted(cs)) for w, cs in offers.items()},
+                {w: tuple(cs) for w, cs in offers.items()},
                 rejections,
                 snapshot,
                 authorized=authorized,
@@ -196,15 +191,15 @@ def workers_propose(
     """Worker-proposing deferred acceptance with sibling screening."""
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
-    wrank = assoc.worker_rank
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
     firm_of = assoc.firm_of_copy
-    orders = [copy.order for copy in assoc.copies]
+    orders = assoc.copy_orders
     prefs = assoc.worker_prefs
 
     held_by_worker: list[int | None] = [None] * k
     held_by_copy: list[int | None] = [None] * n_copies
+    held = [0] * len(assoc.source.firms)  # each firm's held workers
     next_pos = [0] * k
     pool = list(range(k))
     stages: list[DaStage] = []
@@ -213,9 +208,10 @@ def workers_propose(
         number = len(stages) + 1
         if number > n_copies * k + 2:
             raise DeferredAcceptanceError("deferred acceptance failed to terminate")
-        held = _held_masks(assoc, held_by_worker)
+        screen = held[:]  # screening reads the masks as the stage began
+        # proposers visit in ascending order, so every offer list is sorted
         offers: dict[int, list[int]] = {}
-        for w in sorted(pool):
+        for w in pool:
             pos = next_pos[w]
             if pos >= len(prefs[w]):
                 continue  # exhausted its list; stays unmatched and exits
@@ -226,12 +222,14 @@ def workers_propose(
         valid_offers: dict[int, tuple[int, ...]] = {}
         rejections: dict[int, tuple[int, ...]] = {}
         rejected: list[int] = []
+        hiring: set[int] = set()
         for c in sorted(offers):
             candidates = offers[c]
             row = crank[c]
-            top = orders[c].best_in(held[firm_of[c]])
+            f = firm_of[c]
+            top = orders[c].best_in(screen[f])
             valid = [w for w in candidates if top is None or row[w] < row[top]]
-            valid_offers[c] = tuple(sorted(valid))
+            valid_offers[c] = tuple(valid)
 
             previous = held_by_copy[c]
             best_rank = cempty[c] if previous is None else row[previous]
@@ -241,27 +239,37 @@ def workers_propose(
                     best_rank = row[w]
                     chosen = w
             if chosen is None:
-                rejected_here = sorted(candidates)
+                rejected_here = candidates
             else:
-                rejected_here = sorted(w for w in candidates if w != chosen)
+                rejected_here = [w for w in candidates if w != chosen]
                 if previous is not None:
                     rejected_here = sorted(rejected_here + [previous])
                     held_by_worker[previous] = None
+                    held[f] ^= bit(previous)
                 held_by_copy[c] = chosen
                 held_by_worker[chosen] = c
+                held[f] |= bit(chosen)
+                hiring.add(f)
             if rejected_here:
                 rejections[c] = tuple(rejected_here)
                 rejected.extend(rejected_here)
 
         if release:
-            held = _held_masks(assoc, held_by_worker)
+            # Only a firm that hired this stage can hold an envious copy.
+            # The previous release left every firm envy-free, and since
+            # then any other firm can only have lost workers.  Removing a
+            # worker never creates envy: a copy's own worker stays its
+            # pick from a smaller set.
             envious = sorted(
-                (c, w) for w, c in enumerate(held_by_worker)
-                if c is not None and orders[c].best_in(held[firm_of[c]]) != w
+                (held_by_worker[w], w)
+                for f in hiring
+                for w in iter_indices(held[f])
+                if orders[held_by_worker[w]].best_in(held[f]) != w
             )
             for c, dropped in envious:
                 held_by_copy[c] = None
                 held_by_worker[dropped] = None
+                held[firm_of[c]] ^= bit(dropped)
                 rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
                 rejected.append(dropped)
 
@@ -269,7 +277,7 @@ def workers_propose(
         stages.append(
             DaStage(
                 number,
-                {c: tuple(sorted(ws)) for c, ws in offers.items()},
+                {c: tuple(ws) for c, ws in offers.items()},
                 rejections,
                 snapshot,
                 valid_offers=valid_offers,

@@ -189,6 +189,13 @@ def check_copy_stable(
        that very worker does not shield the match: the worker walking over
        to a copy it likes better is still a block, so a worker parked on a
        high-numbered copy while a lower-numbered seat sits empty fails here.
+
+    Both sibling cases are decided from each copy's *pick*, its best worker
+    by its own order among those its firm holds.  A copy envies exactly
+    when the worker it holds is not its pick, and a pair (c, w) blocks
+    exactly when w prefers c and c ranks w at or above its pick (any
+    ranked w when there is no pick).  Siblings are scanned only to name
+    the envied copy, so the check costs O(copies·k).
     """
     _check_11_shape(assoc, matching)
     wrank = assoc.worker_rank
@@ -204,42 +211,32 @@ def check_copy_stable(
     for c, w in enumerate(by_copy):
         if w is not None and crank[c][w] > cempty[c]:
             return StabilityReport(False, FIRM_BLOCK, {"copy": c})
-    groups = assoc.copies_by_firm
     firm_of = assoc.firm_of_copy
+    held = [0] * len(assoc.source.firms)
+    for w, c in enumerate(by_worker):
+        if c is not None:
+            held[firm_of[c]] |= bit(w)
+    picks = [
+        order.best_in(held[f]) for order, f in zip(assoc.copy_orders, firm_of)
+    ]
     for c, w in enumerate(by_copy):
-        if w is None or crank[c][w] > cempty[c]:
+        if w is None or picks[c] == w:
             continue
         row = crank[c]
-        own = row[w]
-        for sibling in groups[firm_of[c]]:
-            if sibling == c:
-                continue
-            held = by_copy[sibling]
-            if held is not None and row[held] < own:
+        for sibling in assoc.copies_by_firm[firm_of[c]]:
+            envied = by_copy[sibling]
+            if envied is not None and row[envied] < row[w]:
                 return StabilityReport(
                     False, COPY_ENVY, {"copy": c, "envied_copy": sibling}
                 )
-    for c in range(len(assoc.copies)):
+    current_rank = [
+        wempty[w] if c is None else wrank[w][c] for w, c in enumerate(by_worker)
+    ]
+    for c, pick in enumerate(picks):
         row = crank[c]
-        empty = cempty[c]
-        group = groups[firm_of[c]]
-        for w in range(len(by_worker)):
-            rank_here = row[w]
-            if rank_here >= empty:
-                continue
-            current = by_worker[w]
-            current_rank = wempty[w] if current is None else wrank[w][current]
-            if wrank[w][c] >= current_rank:
-                continue
-            blocked = True
-            for sibling in group:
-                held = by_copy[sibling]
-                if held is None or held == w:
-                    continue
-                if row[held] < rank_here:
-                    blocked = False
-                    break
-            if blocked:
+        pick_rank = cempty[c] if pick is None else row[pick]
+        for w, rank in enumerate(row):
+            if rank <= pick_rank and wrank[w][c] < current_rank[w]:
                 return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
     return StabilityReport(True)
 

@@ -14,6 +14,7 @@ from matchdecomp import (
     ManyToOneMarket,
     build_associated_market,
     check_copy_stable,
+    check_stable,
     copies_propose,
     merge_matching,
     random_market,
@@ -222,3 +223,17 @@ def test_outputs_are_always_copy_stable(direction, max_orders, density, seed):
     final, trace = direction(assoc)
     assert check_copy_stable(assoc, final).stable
     assert trace.stages[-1].rejections == {}
+
+
+@pytest.mark.parametrize("direction", [copies_propose, workers_propose])
+@pytest.mark.parametrize("seed", [1, 2, 5, 6])
+def test_large_market_results_merge_to_stable_matchings(direction, seed):
+    # 1,089 to 2,934 copies, far past the enumerators' reach: the merged
+    # result is judged by the polynomial many-to-one checker instead
+    market = random_market(
+        GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=seed)
+    )
+    assoc = build_associated_market(market)
+    assert len(assoc.copies) > 1000
+    final, _ = direction(assoc)
+    assert check_stable(market, merge_matching(assoc, final)).stable

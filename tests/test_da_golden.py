@@ -1,12 +1,20 @@
-"""Byte-level golden outputs of ``solve --trace`` in both directions.
+"""Golden outputs of deferred acceptance in both directions.
 
-Each digest is the SHA-256 of the exit code, stdout and stderr of four
-runs on one market: copies and workers proposing, each under the default
-sibling rule and under its strict flag (``--no-reauthorize`` for copies,
-``--no-release`` for workers).  The markets are the reference market and
-forty seeded ``gen`` markets with 3-6 workers, 2-3 firms, 2-4 orders per
-firm and acceptability density 0.6-1.0; several strict runs end in the
-exit-3 stability abort, so its message is pinned too.
+Each small-market digest is the SHA-256 of the exit code, stdout and
+stderr of four ``solve --trace`` runs on one market: copies and workers
+proposing, each under the default sibling rule and under its strict flag
+(``--no-reauthorize`` for copies, ``--no-release`` for workers).  The
+markets are the reference market and forty seeded ``gen`` markets with
+3-6 workers, 2-3 firms, 2-4 orders per firm and acceptability density
+0.6-1.0; several strict runs end in the exit-3 stability abort, so its
+message is pinned too.
+
+The large-market digests cover two ``gen --workers 9 --firms 3
+--max-orders 3 --density 0.8`` markets (1,089 and 2,934 copies) and are
+computed in process, because ``--trace`` prints tens of megabytes per
+workers-proposing run at that size.  Each pins every stage's offers,
+rejections, screening record and matching, plus the stability abort's
+message where a strict run ends in one.
 """
 
 import hashlib
@@ -15,6 +23,15 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from matchdecomp import (
+    DeferredAcceptanceError,
+    GenParams,
+    build_associated_market,
+    copies_propose,
+    random_market,
+    workers_propose,
+)
+from matchdecomp import da
 from matchdecomp.cli import main
 
 from conftest import REFERENCE_PATH
@@ -112,3 +129,75 @@ def test_solve_trace_is_byte_stable(name, tmp_path):
         code, _, _ = run_quietly(["gen", *gen_argv(int(name[3:])), "--out", path])
         assert code == 0
     assert solve_digest(path) == GOLDEN[name]
+
+
+LARGE_RUNS = {
+    "copies": (copies_propose, "reauthorize"),
+    "workers": (workers_propose, "release"),
+}
+
+LARGE_GOLDEN = {
+    (1, "copies", True): "7495642cb2bf4b52addda993c2bea2d9721f3da9fbfb883c8e95c0507045f102",
+    (1, "copies", False): "1ba10d3c0859c308719165b9779dc518c4eac7cb774fcc663d0ccbd4917600d0",
+    (1, "workers", True): "e345b991e0661383ec26376697a466d93115b890159b36de5976d1ed0d35cf01",
+    (1, "workers", False): "d0d351f8e2c98b360fb12de8c3637383df3d6869d68a32249017799b21d95221",
+    (2, "copies", True): "9d366d6df9e70a0dcb5b076f5b6e178484cf7d8c10ad9e051b353d79ff71cae0",
+    (2, "copies", False): "88f042e3f77fdc10a79dddaa3c99a57a980c79dd1b6541533ce75a01a2abc3ac",
+    (2, "workers", True): "43b02de18bc7533698ac6b002f35b598181c16be737324ca381137ace0e0512e",
+    (2, "workers", False): "4c5fca4baa867d77bf36ca90e0091a33ba368f75d6c34e483702b9c107a8a684",
+}
+
+
+@pytest.fixture(scope="module")
+def large_assocs():
+    return {
+        seed: build_associated_market(
+            random_market(
+                GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=seed)
+            )
+        )
+        for seed in (1, 2)
+    }
+
+
+def stage_digest(assoc, proposing: str, default: bool, monkeypatch) -> str:
+    """Digest of every stage of one run, plus the abort message if any.
+
+    The closing assertion still runs; its error is recorded instead of
+    raised, so a strict run that aborts still yields its trace.
+    """
+    messages = []
+    assert_stable = da._assert_copy_stable
+
+    def record(assoc, matching):
+        try:
+            assert_stable(assoc, matching)
+        except DeferredAcceptanceError as exc:
+            messages.append(str(exc))
+
+    monkeypatch.setattr(da, "_assert_copy_stable", record)
+    run, flag = LARGE_RUNS[proposing]
+    _, trace = run(assoc, **{flag: default})
+    digest = hashlib.sha256()
+    for stage in trace.stages:
+        screened = stage.authorized if proposing == "copies" else stage.valid_offers
+        row = (
+            stage.number,
+            sorted(stage.offers.items()),
+            sorted(stage.rejections.items()),
+            sorted(screened.items()),
+            stage.matching.by_worker,
+        )
+        data = repr(row).encode()
+        digest.update(len(data).to_bytes(8, "big") + data)
+    data = repr(messages).encode()
+    digest.update(len(data).to_bytes(8, "big") + data)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(LARGE_GOLDEN))
+def test_large_market_stages_are_stable(key, large_assocs, monkeypatch):
+    seed, proposing, default = key
+    assert stage_digest(large_assocs[seed], proposing, default, monkeypatch) == (
+        LARGE_GOLDEN[key]
+    )

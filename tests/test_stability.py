@@ -1,6 +1,7 @@
 """Stability checkers and exhaustive enumeration, on both market forms."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,17 +17,22 @@ from matchdecomp import (
     ManyToOneMatching,
     MarketValidationError,
     OneToOneMatching,
+    StabilityReport,
+    build_associated_market,
     check_classical_stable,
     check_copy_stable,
     check_stable,
     check_substitutability,
+    copies_propose,
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
     random_market,
     split_matching,
+    workers_propose,
 )
 from matchdecomp import stability
+from matchdecomp.stability import COPY_ENVY, FIRM_BLOCK, PAIR_BLOCK, WORKER_BLOCK
 
 from conftest import (
     GOLDEN_COPY_STABLE,
@@ -161,6 +167,144 @@ class TestCopyStable:
         overlap = copy_stable & classical
         assert len(overlap) == 1
         assert overlap == classical
+
+
+def sibling_scan_copy_stable(assoc, matching) -> StabilityReport:
+    """Copy stability by scanning every sibling for each case and pair.
+
+    The O(copies·k·siblings) checker the pick-based one replaced, kept as
+    its oracle: same cases, same scan order, same witnesses.
+    """
+    wrank = assoc.worker_rank
+    wempty = assoc.worker_empty_rank
+    crank = assoc.copy_rank
+    cempty = assoc.copy_empty_rank
+    by_worker = matching.by_worker
+    by_copy = matching.by_copy
+
+    for w, c in enumerate(by_worker):
+        if c is not None and wrank[w][c] > wempty[w]:
+            return StabilityReport(False, WORKER_BLOCK, {"worker": w})
+    for c, w in enumerate(by_copy):
+        if w is not None and crank[c][w] > cempty[c]:
+            return StabilityReport(False, FIRM_BLOCK, {"copy": c})
+    groups = assoc.copies_by_firm
+    firm_of = assoc.firm_of_copy
+    for c, w in enumerate(by_copy):
+        if w is None:
+            continue
+        row = crank[c]
+        for sibling in groups[firm_of[c]]:
+            held = by_copy[sibling]
+            if sibling != c and held is not None and row[held] < row[w]:
+                return StabilityReport(
+                    False, COPY_ENVY, {"copy": c, "envied_copy": sibling}
+                )
+    for c in range(len(assoc.copies)):
+        row = crank[c]
+        for w in range(len(by_worker)):
+            if row[w] >= cempty[c]:
+                continue
+            current = by_worker[w]
+            current_rank = wempty[w] if current is None else wrank[w][current]
+            if wrank[w][c] >= current_rank:
+                continue
+            if not any(
+                by_copy[sibling] not in (None, w) and row[by_copy[sibling]] < row[w]
+                for sibling in groups[firm_of[c]]
+            ):
+                return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
+    return StabilityReport(True)
+
+
+def random_matching(assoc, rng, rational: bool) -> OneToOneMatching:
+    """A random injective matching; ``rational`` keeps both sides acceptable."""
+    k = len(assoc.source.workers)
+    crank, cempty = assoc.copy_rank, assoc.copy_empty_rank
+    by_worker = [None] * k
+    used = set()
+    for w in rng.sample(range(k), k):
+        if rational:
+            options = [c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c]]
+        else:
+            options = range(len(assoc.copies))
+        options = [c for c in options if c not in used]
+        if options and rng.random() < 0.85:
+            by_worker[w] = rng.choice(options)
+            used.add(by_worker[w])
+    return OneToOneMatching(tuple(by_worker), len(assoc.copies))
+
+
+def sibling_perturbations(assoc, matching):
+    """Matchings one sibling step away from ``matching``.
+
+    Swapping two siblings' workers, each ranked by the other copy, makes
+    the copy that held its pick envious.  Moving a worker to an empty
+    higher-numbered sibling that ranks it leaves the worker preferring its
+    old seat while its own firm holds it.
+    """
+    crank, cempty = assoc.copy_rank, assoc.copy_empty_rank
+    by_worker, by_copy = matching.by_worker, matching.by_copy
+    n_copies = len(assoc.copies)
+    for w, c in enumerate(by_worker):
+        if c is None:
+            continue
+        for s in assoc.copies_by_firm[assoc.firm_of_copy[c]]:
+            if s == c or crank[s][w] >= cempty[s]:
+                continue
+            other = by_copy[s]
+            moved = list(by_worker)
+            if other is None:
+                if s < c:
+                    continue
+            elif other < w and crank[c][other] < cempty[c]:
+                moved[other] = c
+            else:
+                continue
+            moved[w] = s
+            yield OneToOneMatching(tuple(moved), n_copies)
+
+
+class TestPickCheck:
+    """The pick-based copy-stability check against the sibling-scan oracle."""
+
+    def test_reports_match_the_sibling_scan(self):
+        cases = Counter()
+        for seed in range(200):
+            market = random_market(
+                GenParams(
+                    workers=3 + seed % 4, firms=2 + seed // 4 % 2,
+                    max_orders=2 + seed // 8 % 2, density=(0.7, 0.85, 1.0)[seed % 3],
+                    seed=seed,
+                )
+            )
+            if seed % 5 == 0 and len(market.workers) <= 5:
+                assoc = build_associated_market(market)
+            else:
+                assoc = family_association(market)
+            rng = random.Random(seed)
+            bases = [workers_propose(assoc)[0], copies_propose(assoc)[0]]
+            bases += [random_matching(assoc, rng, rational=True) for _ in range(10)]
+            matchings = list(bases)
+            matchings += [random_matching(assoc, rng, rational=False) for _ in range(20)]
+            for base in bases:
+                matchings += sibling_perturbations(assoc, base)
+            for matching in matchings:
+                report = check_copy_stable(assoc, matching)
+                assert report == sibling_scan_copy_stable(assoc, matching)
+                cases[report.case] += 1
+                if report.case == PAIR_BLOCK:
+                    c, w = report.witness["copy"], report.witness["worker"]
+                    holder = matching.by_worker[w]
+                    if holder is not None and holder != c and (
+                        assoc.firm_of_copy[holder] == assoc.firm_of_copy[c]
+                    ):
+                        cases["sibling holds the worker"] += 1
+        assert all(
+            cases[case] >= 50
+            for case in (None, WORKER_BLOCK, FIRM_BLOCK, COPY_ENVY, PAIR_BLOCK,
+                         "sibling holds the worker")
+        ), cases
 
 
 class TestPruning:
