@@ -29,6 +29,16 @@ def iter_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def iter_submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask`` in descending order, ending with 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 def labels_of(mask: int, labels: tuple[str, ...]) -> list[str]:
     """Render a mask as a list of labels in dense-index order."""
     return [labels[i] for i in iter_indices(mask)]

@@ -24,13 +24,16 @@ The axioms checked here:
   substitutability plus consistency;
 * law of aggregate demand: ``W'' <= W'`` implies ``|C(W'')| <= |C(W')|``.
 
-Substitutability, consistency and the law of aggregate demand enumerate
-menus exhaustively.  Path independence holds for every ``orders`` function
-by construction and is decided through the other two axioms for the rest;
-only a failing function gets the exhaustive pairwise scan, which finds its
-witness.  A function keeps its substitutability and path-independence
-verdicts, which the firm-level stable-set search shares with
-``check_path_independence``.
+Substitutability, consistency and the law of aggregate demand are decided
+on cover pairs ``(S, S - {w})`` alone, O(k * 2**k) per axiom: each is
+violated somewhere exactly when it is violated on some cover pair, and the
+first menu to fail a cover test is the menu of the first witness of the
+exhaustive definition, so only that menu is rescanned to find it.  Path
+independence holds for every ``orders`` function by construction and is
+decided through the other two axioms for the rest; only a failing function
+gets the exhaustive pairwise scan, which finds its witness.  A function
+keeps its substitutability and path-independence verdicts, which the
+firm-level stable-set search shares with ``check_path_independence``.
 
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bit, iter_indices
+from .bitsets import bit, iter_indices, iter_submasks
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .errors import MarketValidationError
 
@@ -213,43 +216,65 @@ def canonicalize(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> ChoiceFunctio
 
 
 def check_substitutability(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
-    """Chosen workers stay chosen when someone else leaves the menu."""
+    """Chosen workers stay chosen when someone else leaves the menu.
+
+    Decided on cover pairs: removing ``w`` from ``S`` must keep every other
+    worker of ``C(S)``, one test per removed worker.  The first menu that
+    fails is the menu of the first pairwise witness, so only that menu is
+    rescanned pair by pair.
+    """
     require_universe(cf.universe_size, caps)
     table = cf._full_table
-    for menu in range(len(table)):
-        chosen = table[menu]
-        if not chosen:
-            continue
-        for w in iter_indices(chosen):
-            others = menu & ~bit(w)
-            for removed in iter_indices(others):
-                if not table[menu & ~bit(removed)] >> w & 1:
-                    return AxiomReport(
-                        "substitutability",
-                        False,
-                        {"menu": menu, "worker": w, "removed": removed},
-                    )
+    for menu, chosen in enumerate(table):
+        rest = menu if chosen else 0  # an empty choice has no worker to lose
+        while rest:
+            low = rest & -rest
+            if chosen & ~low & ~table[menu ^ low]:
+                return _substitutability_witness(table, menu)
+            rest ^= low
     return AxiomReport("substitutability", True)
 
 
+def _substitutability_witness(table, menu: int) -> AxiomReport:
+    worker, removed = next(
+        (w, removed)
+        for w in iter_indices(table[menu])
+        for removed in iter_indices(menu & ~bit(w))
+        if not table[menu & ~bit(removed)] >> w & 1
+    )
+    return AxiomReport(
+        "substitutability", False, {"menu": menu, "worker": worker, "removed": removed}
+    )
+
+
 def check_consistency(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
-    """Dropping unchosen workers from the menu never changes the choice."""
+    """Dropping unchosen workers from the menu never changes the choice.
+
+    Decided on cover pairs: removing one unchosen worker must keep the
+    choice, and unchosen workers can be removed one at a time.  The first
+    menu that fails is the menu of the first submenu witness, so only that
+    menu's submenus are walked.
+    """
     require_universe(cf.universe_size, caps)
     table = cf._full_table
-    for menu in range(len(table)):
-        chosen = table[menu]
+    for menu, chosen in enumerate(table):
         rest = menu & ~chosen
-        sub = rest
-        while True:
-            submenu = chosen | sub
-            if submenu != menu and table[submenu] != chosen:
-                return AxiomReport(
-                    "consistency", False, {"menu": menu, "submenu": submenu}
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+        while rest:
+            low = rest & -rest
+            if table[menu ^ low] != chosen:
+                return _consistency_witness(table, menu)
+            rest ^= low
     return AxiomReport("consistency", True)
+
+
+def _consistency_witness(table, menu: int) -> AxiomReport:
+    chosen = table[menu]
+    submenu = next(
+        chosen | sub
+        for sub in iter_submasks(menu & ~chosen)
+        if table[chosen | sub] != chosen
+    )
+    return AxiomReport("consistency", False, {"menu": menu, "submenu": submenu})
 
 
 def check_path_independence(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
@@ -258,7 +283,7 @@ def check_path_independence(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> Ax
     A union of maximizers is path independent (Aizerman and Malishevski),
     so an ``orders`` function passes without a scan.  Any other function
     is path independent exactly when it is substitutable and consistent,
-    which costs O(k**2 * 2**k + 3**k).  Only when that fails does the
+    which costs O(k * 2**k).  Only when that fails does the
     pairwise scan run, quadratic in the number of menus, to find the first
     failing ``{first, second}`` pair as the witness.  The verdict is kept
     on ``cf``, so each choice function is checked at most once.
@@ -282,23 +307,32 @@ def _pairwise_path_independence(cf: ChoiceFunction) -> AxiomReport:
 
 
 def check_lad(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
-    """Law of aggregate demand: larger menus never yield smaller hires."""
+    """Law of aggregate demand: larger menus never yield smaller hires.
+
+    Decided on cover pairs: removing one worker must not raise the number
+    hired, and every submenu is reached by removing workers one at a time.
+    The first menu that fails is the larger menu of the first witness, so
+    only that menu's submenus are walked.
+    """
     require_universe(cf.universe_size, caps)
-    table = cf._full_table
-    for larger in range(len(table)):
-        hired = table[larger].bit_count()
-        sub = larger
-        while True:
-            if table[sub].bit_count() > hired:
-                return AxiomReport(
-                    "law-of-aggregate-demand",
-                    False,
-                    {"smaller": sub, "larger": larger},
-                )
-            if sub == 0:
-                break
-            sub = (sub - 1) & larger
+    hires: list[int] = []  # filled as the scan goes, so an early failure stays cheap
+    for menu, chosen in enumerate(cf._full_table):
+        hired = chosen.bit_count()
+        hires.append(hired)
+        rest = menu
+        while rest:
+            low = rest & -rest
+            if hires[menu ^ low] > hired:
+                return _lad_witness(hires, menu)
+            rest ^= low
     return AxiomReport("law-of-aggregate-demand", True)
+
+
+def _lad_witness(hires: list[int], larger: int) -> AxiomReport:
+    smaller = next(sub for sub in iter_submasks(larger) if hires[sub] > hires[larger])
+    return AxiomReport(
+        "law-of-aggregate-demand", False, {"smaller": smaller, "larger": larger}
+    )
 
 
 def replay_witness(cf: ChoiceFunction, report: AxiomReport) -> bool:

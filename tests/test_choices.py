@@ -1,5 +1,8 @@
 """Choice-function representations and the axiom checkers."""
 
+import random
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,8 @@ from matchdecomp import (
     check_substitutability,
     replay_witness,
 )
-from matchdecomp.choices import _pairwise_path_independence
+from matchdecomp.bitsets import bit, iter_indices
+from matchdecomp.choices import AxiomReport, _pairwise_path_independence
 
 from conftest import TABLE_BOTH_FAIL, TABLE_CONS_FAIL, TABLE_SUBST_FAIL
 
@@ -55,6 +59,103 @@ def order_unions(draw, max_workers=4, max_orders=3):
         if order not in orders:
             orders.append(order)
     return ChoiceFunction.from_orders(tuple(orders), k)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracles: every (chosen, removed) pair and every submenu
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_substitutability(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for menu in range(len(table)):
+        chosen = table[menu]
+        if not chosen:
+            continue
+        for w in iter_indices(chosen):
+            others = menu & ~bit(w)
+            for removed in iter_indices(others):
+                if not table[menu & ~bit(removed)] >> w & 1:
+                    return AxiomReport(
+                        "substitutability",
+                        False,
+                        {"menu": menu, "worker": w, "removed": removed},
+                    )
+    return AxiomReport("substitutability", True)
+
+
+def exhaustive_consistency(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for menu in range(len(table)):
+        chosen = table[menu]
+        rest = menu & ~chosen
+        sub = rest
+        while True:
+            submenu = chosen | sub
+            if submenu != menu and table[submenu] != chosen:
+                return AxiomReport(
+                    "consistency", False, {"menu": menu, "submenu": submenu}
+                )
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    return AxiomReport("consistency", True)
+
+
+def exhaustive_lad(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for larger in range(len(table)):
+        hired = table[larger].bit_count()
+        sub = larger
+        while True:
+            if table[sub].bit_count() > hired:
+                return AxiomReport(
+                    "law-of-aggregate-demand",
+                    False,
+                    {"smaller": sub, "larger": larger},
+                )
+            if sub == 0:
+                break
+            sub = (sub - 1) & larger
+    return AxiomReport("law-of-aggregate-demand", True)
+
+
+CHECKS_AND_ORACLES = (
+    (check_substitutability, exhaustive_substitutability),
+    (check_consistency, exhaustive_consistency),
+    (check_lad, exhaustive_lad),
+)
+
+
+def perturbed_order_union(rng: random.Random, k: int) -> ChoiceFunction:
+    """A union of 1-3 random orders as a table, with 0-2 menus redrawn."""
+    orders = []
+    for _ in range(rng.randint(1, 3)):
+        ranking = rng.sample(range(k), k)[: rng.randint(0, k)]
+        orders.append(LinearOrder(tuple(ranking)))
+    table = list(canonicalize(ChoiceFunction.from_orders(tuple(orders), k)).table)
+    for _ in range(rng.randint(0, 2)):
+        menu = rng.randrange(1 << k)
+        table[menu] = rng.randrange(1 << k) & menu
+    return ChoiceFunction.from_table(table, k)
+
+
+SWEEP_SIZE = 10_000
+
+
+class CountingTable(Sequence):
+    """A choice table that counts the entries read from it."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.entries[index]
 
 
 class TestLinearOrder:
@@ -224,3 +325,40 @@ class TestAxioms:
     @settings(max_examples=150)
     def test_order_unions_are_path_independent(self, cf):
         assert _pairwise_path_independence(canonicalize(cf)).passed
+
+
+class TestCoverPairChecks:
+    """The cover-pair checks report exactly what the exhaustive scans do."""
+
+    @given(st.one_of(choice_tables(max_workers=5), subset_rankings(max_workers=5)))
+    @settings(max_examples=300)
+    def test_reports_match_the_oracles(self, cf):
+        for check, oracle in CHECKS_AND_ORACLES:
+            assert check(cf) == oracle(cf)
+
+    def test_reports_match_the_oracles_on_a_seeded_sweep(self):
+        rng = random.Random(20241)
+        failures = {oracle.__name__: 0 for _, oracle in CHECKS_AND_ORACLES}
+        for _ in range(SWEEP_SIZE):
+            cf = perturbed_order_union(rng, rng.randint(0, 7))
+            for check, oracle in CHECKS_AND_ORACLES:
+                expected = oracle(cf)
+                assert check(cf) == expected, (cf.table, oracle.__name__)
+                failures[oracle.__name__] += not expected.passed
+        assert min(failures.values()) >= 500, failures
+
+    @pytest.mark.parametrize(
+        "check", [check for check, _ in CHECKS_AND_ORACLES], ids=lambda c: c.__name__
+    )
+    def test_a_passing_table_is_read_at_most_k_plus_one_times_per_menu(self, check):
+        k = 10
+        rng = random.Random(7)
+        # orders over disjoint worker groups: path independent and LAD
+        groups = (rng.sample(range(5), 5), rng.sample(range(5, 8), 3), [9, 8])
+        cf = canonicalize(
+            ChoiceFunction.from_orders(tuple(LinearOrder(tuple(g)) for g in groups), k)
+        )
+        counting = CountingTable(cf.table)
+        cf.__dict__["_full_table"] = counting
+        assert check(cf).passed
+        assert counting.reads <= (k + 1) << k
