@@ -84,10 +84,6 @@ class DaTrace:
     proposing: str
     stages: tuple[DaStage, ...]
 
-    @property
-    def final(self) -> OneToOneMatching:
-        return self.stages[-1].matching
-
 
 def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> None:
     report = check_copy_stable(assoc, matching)

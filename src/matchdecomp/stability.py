@@ -17,7 +17,9 @@ Three notions live here:
   tests show the classical notion misses almost all matchings that the
   many-to-one market considers stable.
 * ``classical_stable``: the textbook one-to-one notion, kept for exactly
-  those comparisons.
+  those comparisons.  It is copy stability with each copy as its own
+  shield group (the copies whose holdings a copy's pick is taken from):
+  one checker decides both, keyed by the group.
 
 Checkers return the first violation in a fixed scan order (cases in the
 order listed in each docstring; agents by ascending index; pairs
@@ -27,20 +29,21 @@ stable, filter every complete assignment with the matching checker, and
 return results sorted by the worker-side assignment tuple.  The cuts: a
 worker is offered only partners that individual rationality allows; at the
 firm level a substitutable firm takes a worker only while it would keep
-everyone it then holds; for ``copy_stable`` no copy may envy a settled
-sibling's worker; and both copy-level notions cut a copy-worker pair that
-blocks once its verdict is final.  Such a pair blocks when the worker
-prefers the copy to its partner and no copy of the shield group -- the
-copy and its siblings for ``copy_stable``, the copy alone for
-``classical_stable`` -- holds a worker the copy ranks higher.  Only a
-worker that can still land on the group could shield the pair, so the
-verdict is final once the worker and every such worker are placed.
+everyone it then holds; and on the copy market, keyed by the shield
+group -- the copy and its siblings for ``copy_stable``, the copy alone for
+``classical_stable`` -- no copy may envy a settled group mate's worker,
+and a copy-worker pair that blocks is cut once its verdict is final.
+Such a pair blocks when the worker prefers the copy to its partner and no
+copy of the group holds a worker the copy ranks higher.  Only a worker
+that can still land on the group could shield the pair, so the verdict is
+final once the worker and every such worker are placed.
 Unpruned enumeration scans every candidate assignment and is kept as the
 oracle the test suite compares against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -164,11 +167,54 @@ def enumerate_stable(
     return found
 
 
-def _check_11_shape(assoc: OneToOneMarket, matching: OneToOneMatching) -> None:
+def _check_one_to_one(
+    assoc: OneToOneMarket, matching: OneToOneMatching, shield_of: tuple[int, ...]
+) -> StabilityReport:
+    """Copy stability with ``shield_of[c]``, not its firm, as copy ``c``'s group."""
     if len(matching.by_worker) != len(assoc.source.workers):
         raise MarketValidationError("matching covers a different worker count")
     if matching.copy_count != len(assoc.copies):
         raise MarketValidationError("matching covers a different copy count")
+    wrank = assoc.worker_rank
+    wempty = assoc.worker_empty_rank
+    crank = assoc.copy_rank
+    cempty = assoc.copy_empty_rank
+    by_worker = matching.by_worker
+    by_copy = matching.by_copy
+
+    for w, c in enumerate(by_worker):
+        if c is not None and wrank[w][c] > wempty[w]:
+            return StabilityReport(False, WORKER_BLOCK, {"worker": w})
+    for c, w in enumerate(by_copy):
+        if w is not None and crank[c][w] > cempty[c]:
+            return StabilityReport(False, FIRM_BLOCK, {"copy": c})
+    held = [0] * (max(shield_of, default=-1) + 1)
+    for w, c in enumerate(by_worker):
+        if c is not None:
+            held[shield_of[c]] |= bit(w)
+    picks = [
+        order.best_in(held[g]) for order, g in zip(assoc.copy_orders, shield_of)
+    ]
+    for c, w in enumerate(by_copy):
+        if w is None or picks[c] == w:
+            continue
+        row = crank[c]
+        group = shield_of[c]
+        for mate, envied in enumerate(by_copy):
+            if shield_of[mate] == group and envied is not None and row[envied] < row[w]:
+                return StabilityReport(
+                    False, COPY_ENVY, {"copy": c, "envied_copy": mate}
+                )
+    current_rank = [
+        wempty[w] if c is None else wrank[w][c] for w, c in enumerate(by_worker)
+    ]
+    for c, pick in enumerate(picks):
+        row = crank[c]
+        pick_rank = cempty[c] if pick is None else row[pick]
+        for w, rank in enumerate(row):
+            if rank <= pick_rank and wrank[w][c] < current_rank[w]:
+                return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
+    return StabilityReport(True)
 
 
 def check_copy_stable(
@@ -194,51 +240,10 @@ def check_copy_stable(
     by its own order among those its firm holds.  A copy envies exactly
     when the worker it holds is not its pick, and a pair (c, w) blocks
     exactly when w prefers c and c ranks w at or above its pick (any
-    ranked w when there is no pick).  Siblings are scanned only to name
-    the envied copy, so the check costs O(copies·k).
+    ranked w when there is no pick).  Siblings are scanned, by ascending
+    index, only to name the envied copy, so the check costs O(copies·k).
     """
-    _check_11_shape(assoc, matching)
-    wrank = assoc.worker_rank
-    wempty = assoc.worker_empty_rank
-    crank = assoc.copy_rank
-    cempty = assoc.copy_empty_rank
-    by_worker = matching.by_worker
-    by_copy = matching.by_copy
-
-    for w, c in enumerate(by_worker):
-        if c is not None and wrank[w][c] > wempty[w]:
-            return StabilityReport(False, WORKER_BLOCK, {"worker": w})
-    for c, w in enumerate(by_copy):
-        if w is not None and crank[c][w] > cempty[c]:
-            return StabilityReport(False, FIRM_BLOCK, {"copy": c})
-    firm_of = assoc.firm_of_copy
-    held = [0] * len(assoc.source.firms)
-    for w, c in enumerate(by_worker):
-        if c is not None:
-            held[firm_of[c]] |= bit(w)
-    picks = [
-        order.best_in(held[f]) for order, f in zip(assoc.copy_orders, firm_of)
-    ]
-    for c, w in enumerate(by_copy):
-        if w is None or picks[c] == w:
-            continue
-        row = crank[c]
-        for sibling in assoc.copies_by_firm[firm_of[c]]:
-            envied = by_copy[sibling]
-            if envied is not None and row[envied] < row[w]:
-                return StabilityReport(
-                    False, COPY_ENVY, {"copy": c, "envied_copy": sibling}
-                )
-    current_rank = [
-        wempty[w] if c is None else wrank[w][c] for w, c in enumerate(by_worker)
-    ]
-    for c, pick in enumerate(picks):
-        row = crank[c]
-        pick_rank = cempty[c] if pick is None else row[pick]
-        for w, rank in enumerate(row):
-            if rank <= pick_rank and wrank[w][c] < current_rank[w]:
-                return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
-    return StabilityReport(True)
+    return _check_one_to_one(assoc, matching, assoc.firm_of_copy)
 
 
 def check_classical_stable(
@@ -246,53 +251,34 @@ def check_classical_stable(
 ) -> StabilityReport:
     """Textbook one-to-one stability on the associated market.
 
-    Scan order: worker rationality, copy rationality, then copy-worker
-    pairs lexicographically by (copy, worker).
+    This is copy stability with every copy as its own shield group.  The
+    group of a matched copy holds only the copy's worker, which is its pick
+    once the firm-block case has passed, so copy-envy never fires.  "c
+    ranks w at or above its pick" differs from "strictly above the worker
+    c holds" only at that worker, who sits on c and cannot prefer it.  The
+    scan order is therefore the textbook one: worker rationality, copy
+    rationality, then copy-worker pairs lexicographically by (copy, worker).
     """
-    _check_11_shape(assoc, matching)
-    wrank = assoc.worker_rank
-    wempty = assoc.worker_empty_rank
+    return _check_one_to_one(assoc, matching, tuple(range(len(assoc.copies))))
+
+
+def _envy_cut(assoc: OneToOneMarket, shield_of: tuple[int, ...]):
+    """Cut ``w`` on ``c`` when ``c`` and a settled group mate envy each other's worker."""
     crank = assoc.copy_rank
-    cempty = assoc.copy_empty_rank
-    by_worker = matching.by_worker
-    by_copy = matching.by_copy
-
-    for w, c in enumerate(by_worker):
-        if c is not None and wrank[w][c] > wempty[w]:
-            return StabilityReport(False, WORKER_BLOCK, {"worker": w})
-    for c, w in enumerate(by_copy):
-        if w is not None and crank[c][w] > cempty[c]:
-            return StabilityReport(False, FIRM_BLOCK, {"copy": c})
-    for c in range(len(assoc.copies)):
-        row = crank[c]
-        held = by_copy[c]
-        held_rank = cempty[c] if held is None else row[held]
-        for w in range(len(by_worker)):
-            if row[w] >= held_rank:
-                continue
-            current = by_worker[w]
-            current_rank = wempty[w] if current is None else wrank[w][current]
-            if wrank[w][c] < current_rank:
-                return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
-    return StabilityReport(True)
-
-
-def _envy_cut(assoc: OneToOneMarket):
-    """Cut ``w`` on ``c`` when ``c`` and a settled sibling envy each other's worker."""
-    crank = assoc.copy_rank
-    firm_of = assoc.firm_of_copy
+    sizes = Counter(shield_of)
+    alone = [sizes[g] == 1 for g in shield_of]
 
     def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
-        if c is None:
+        if c is None or alone[c]:
             return False
         row = crank[c]
         mine = row[w]
-        firm = firm_of[c]
+        group = shield_of[c]
         for other_w in range(w):
             other_c = assignment[other_w]
             if (
                 other_c is not None
-                and firm_of[other_c] == firm
+                and shield_of[other_c] == group
                 and (row[other_w] < mine or crank[other_c][w] < crank[other_c][other_w])
             ):
                 return True
@@ -349,7 +335,6 @@ def _enumerate_one_to_one(
     pruned: bool,
     shield_of: tuple[int, ...],
     accept,
-    envy=None,
 ) -> list[OneToOneMatching]:
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
@@ -362,8 +347,8 @@ def _enumerate_one_to_one(
         ]
     else:
         options = [(None, *range(n_copies))] * k
-        envy = None
     require_candidates(prod(len(opts) for opts in options), caps)
+    envy = _envy_cut(assoc, shield_of) if pruned else None
     settled = _settled_pair_cut(assoc, options, shield_of) if pruned else None
 
     found = []
@@ -401,7 +386,6 @@ def enumerate_copy_stable(
         pruned,
         assoc.firm_of_copy,
         accept=lambda m: check_copy_stable(assoc, m).stable,
-        envy=_envy_cut(assoc),
     )
 
 

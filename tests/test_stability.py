@@ -217,6 +217,40 @@ def sibling_scan_copy_stable(assoc, matching) -> StabilityReport:
     return StabilityReport(True)
 
 
+def textbook_classical_stable(assoc, matching) -> StabilityReport:
+    """Textbook one-to-one stability by a direct scan of every pair.
+
+    The checker classical stability had before it became copy stability
+    with singleton shield groups, kept as its oracle: same cases, same scan
+    order, same witnesses.
+    """
+    wrank = assoc.worker_rank
+    wempty = assoc.worker_empty_rank
+    crank = assoc.copy_rank
+    cempty = assoc.copy_empty_rank
+    by_worker = matching.by_worker
+    by_copy = matching.by_copy
+
+    for w, c in enumerate(by_worker):
+        if c is not None and wrank[w][c] > wempty[w]:
+            return StabilityReport(False, WORKER_BLOCK, {"worker": w})
+    for c, w in enumerate(by_copy):
+        if w is not None and crank[c][w] > cempty[c]:
+            return StabilityReport(False, FIRM_BLOCK, {"copy": c})
+    for c in range(len(assoc.copies)):
+        row = crank[c]
+        held = by_copy[c]
+        held_rank = cempty[c] if held is None else row[held]
+        for w in range(len(by_worker)):
+            if row[w] >= held_rank:
+                continue
+            current = by_worker[w]
+            current_rank = wempty[w] if current is None else wrank[w][current]
+            if wrank[w][c] < current_rank:
+                return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
+    return StabilityReport(True)
+
+
 def random_matching(assoc, rng, rational: bool) -> OneToOneMatching:
     """A random injective matching; ``rational`` keeps both sides acceptable."""
     k = len(assoc.source.workers)
@@ -266,10 +300,11 @@ def sibling_perturbations(assoc, matching):
 
 
 class TestPickCheck:
-    """The pick-based copy-stability check against the sibling-scan oracle."""
+    """The pick-based checker against the sibling-scan and textbook oracles."""
 
     def test_reports_match_the_sibling_scan(self):
         cases = Counter()
+        classical_cases = Counter()
         for seed in range(200):
             market = random_market(
                 GenParams(
@@ -293,6 +328,9 @@ class TestPickCheck:
                 report = check_copy_stable(assoc, matching)
                 assert report == sibling_scan_copy_stable(assoc, matching)
                 cases[report.case] += 1
+                classical = check_classical_stable(assoc, matching)
+                assert classical == textbook_classical_stable(assoc, matching)
+                classical_cases[classical.case] += 1
                 if report.case == PAIR_BLOCK:
                     c, w = report.witness["copy"], report.witness["worker"]
                     holder = matching.by_worker[w]
@@ -305,6 +343,10 @@ class TestPickCheck:
             for case in (None, WORKER_BLOCK, FIRM_BLOCK, COPY_ENVY, PAIR_BLOCK,
                          "sibling holds the worker")
         ), cases
+        assert all(
+            classical_cases[case] >= 50
+            for case in (None, WORKER_BLOCK, FIRM_BLOCK, PAIR_BLOCK)
+        ), classical_cases
 
 
 class TestPruning:
@@ -370,7 +412,8 @@ class TestPruning:
         self, reference_assoc, monkeypatch, enumerate_set, checker, size, most
     ):
         # the full product holds thousands of complete assignments; the
-        # cuts leave at most a handful for the leaf checker
+        # cuts leave at most a handful for the leaf checker, and every
+        # matching found passed one leaf check
         check = getattr(stability, checker)
         calls = 0
 
@@ -381,7 +424,7 @@ class TestPruning:
 
         monkeypatch.setattr(stability, checker, counted)
         assert len(enumerate_set(reference_assoc)) == size
-        assert calls <= most
+        assert size <= calls <= most
 
     def test_one_to_one_candidate_cap(self, reference_assoc):
         caps = Caps(max_workers=16, max_orders=5040, max_candidates=1000)
