@@ -15,11 +15,18 @@ included.  Caps can be overridden through
 MATCHDECOMP_MAX_WORKERS, MATCHDECOMP_MAX_ORDERS and
 MATCHDECOMP_MAX_CANDIDATES.  All output is JSON and deterministic for
 fixed input and flags.
+
+:func:`main` can be called repeatedly in one process.  It builds its
+argument parser on the first call and reuses it; caps are read from the
+environment on every call, and each command's handler looks up the
+functions it calls when it runs.  :func:`build_parser` still returns a
+fresh parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -308,8 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, caps_from_env())
     except CapExceededError as exc:

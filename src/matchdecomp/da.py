@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .association import OneToOneMarket
 from .bitsets import bit, iter_indices
@@ -68,15 +69,23 @@ class DaStage:
     propose, copies when workers propose); values are sorted proposer
     indices.  ``authorized`` appears only when copies propose and covers the
     copies that were due to act; ``valid_offers`` only when workers propose.
-    ``matching`` is the tentative assignment at the end of the stage.
+    ``by_worker`` is the tentative assignment at the end of the stage, each
+    worker's copy or None.  ``matching`` is the same assignment as a
+    validated :class:`OneToOneMatching`, built when it is first read, so a
+    run whose trace is not printed builds only its final matching.
     """
 
     number: int
     offers: dict[int, tuple[int, ...]]
     rejections: dict[int, tuple[int, ...]]
-    matching: OneToOneMatching
+    by_worker: tuple[int | None, ...]
+    copy_count: int
     authorized: dict[int, bool] | None = None
     valid_offers: dict[int, tuple[int, ...]] | None = None
+
+    @cached_property
+    def matching(self) -> OneToOneMatching:
+        return OneToOneMatching(self.by_worker, self.copy_count)
 
 
 @dataclass(frozen=True)
@@ -162,13 +171,13 @@ def copies_propose(
                 rejections[w] = tuple(rejected_here)
                 rejected.extend(rejected_here)
 
-        snapshot = OneToOneMatching(tuple(held_by_worker), n_copies)
         stages.append(
             DaStage(
                 number,
                 {w: tuple(cs) for w, cs in offers.items()},
                 rejections,
-                snapshot,
+                tuple(held_by_worker),
+                n_copies,
                 authorized=authorized,
             )
         )
@@ -269,13 +278,13 @@ def workers_propose(
                 rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
                 rejected.append(dropped)
 
-        snapshot = OneToOneMatching(tuple(held_by_worker), n_copies)
         stages.append(
             DaStage(
                 number,
                 {c: tuple(ws) for c, ws in offers.items()},
                 rejections,
-                snapshot,
+                tuple(held_by_worker),
+                n_copies,
                 valid_offers=valid_offers,
             )
         )

@@ -192,6 +192,9 @@ class TestSolve:
         assert code == 0
 
     def test_other_runtime_errors_are_not_verification_failures(self, capsys, monkeypatch):
+        # an earlier call in the process must not pin the handler's callees
+        assert run_cli(capsys, "solve", REFERENCE_PATH)[0] == 0
+
         def broken(*args, **kwargs):
             raise RuntimeError("a bug, not an unstable outcome")
 
@@ -524,10 +527,14 @@ class TestGen:
 
 class TestCaps:
     def test_cap_override_via_environment(self, capsys, monkeypatch):
+        # caps are read on every call, not once per process
+        assert run_cli(capsys, "validate", REFERENCE_PATH)[0] == 0
         monkeypatch.setenv("MATCHDECOMP_MAX_WORKERS", "2")
         code, _, err = run_cli(capsys, "validate", REFERENCE_PATH)
         assert code == 4
         assert "error" in json.loads(err)
+        monkeypatch.delenv("MATCHDECOMP_MAX_WORKERS")
+        assert run_cli(capsys, "validate", REFERENCE_PATH)[0] == 0
 
     @pytest.mark.parametrize("value", ["x", "0"])
     def test_bad_cap_value_is_invalid_input(self, capsys, monkeypatch, value):
@@ -535,3 +542,85 @@ class TestCaps:
         code, out, err = run_cli(capsys, "validate", REFERENCE_PATH)
         assert out == ""
         assert_input_error(code, err)
+
+
+class TestParserReuse:
+    """Repeated main() calls in one process share one parser, not state."""
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for argv in (["validate", REFERENCE_PATH], ["solve", REFERENCE_PATH]) * 2:
+            assert run_cli(capsys, *argv)[0] == 0
+        assert built == [1]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() is cli._parser()
+        assert first is not cli._parser()
+        first.set_defaults(func=None)
+        assert second.parse_args(["validate", REFERENCE_PATH]).func is not None
+
+    @pytest.mark.parametrize(
+        "argv,flag,name,keyword",
+        [
+            (["solve", "--proposing", "copies"], "--no-reauthorize",
+             "copies_propose", "reauthorize"),
+            (["solve", "--proposing", "workers"], "--no-release",
+             "workers_propose", "release"),
+            (["enumerate", "--concept", "copy-stable"], "--unpruned",
+             "enumerate_copy_stable", "pruned"),
+        ],
+    )
+    def test_a_flag_does_not_outlive_its_call(
+        self, capsys, monkeypatch, argv, flag, name, keyword
+    ):
+        seen = []
+        original = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs[keyword])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+        argv = [argv[0], REFERENCE_PATH, *argv[1:]]
+        run_cli(capsys, *argv, flag)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert seen == [False, True]
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (["solve", REFERENCE_PATH, "--bogus"], "unrecognized arguments: --bogus"),
+            (["solve", REFERENCE_PATH, "--proposing", "nobody"], "invalid choice"),
+            (["gen", "--workers", "x", "--firms", "1"], "invalid int value"),
+            ([], "the following arguments are required"),
+        ],
+    )
+    def test_a_usage_error_leaves_the_next_call_intact(self, capsys, bad, message):
+        argv = ["solve", REFERENCE_PATH, "--proposing", "workers", "--trace"]
+        before = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as caught:
+            main(bad)
+        assert caught.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: matchdecomp") and message in err
+        assert run_cli(capsys, *argv) == before
+
+    def test_help_leaves_the_next_call_intact(self, capsys):
+        argv = ["enumerate", REFERENCE_PATH, "--concept", "classical"]
+        before = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as caught:
+            main(["enumerate", "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: matchdecomp enumerate")
+        assert run_cli(capsys, *argv) == before

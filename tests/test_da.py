@@ -12,6 +12,7 @@ from matchdecomp import (
     GenParams,
     LinearOrder,
     ManyToOneMarket,
+    OneToOneMatching,
     build_associated_market,
     check_copy_stable,
     check_stable,
@@ -209,6 +210,47 @@ class TestTraces:
         assert held_after_first["f1.1"] == "w3"
         assert held_after_first["f2.1"] == "w2"
         assert held_after_first["f1.2"] is None
+
+
+class TestSnapshotsOnRead:
+    """A stage's matching is built when it is read, not on every stage."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        validate = OneToOneMatching.__post_init__
+
+        def counting(matching):
+            built.append(matching)
+            validate(matching)
+
+        monkeypatch.setattr(OneToOneMatching, "__post_init__", counting)
+        return built
+
+    def test_an_untraced_run_builds_only_its_result(self, built):
+        market = random_market(
+            GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=1)
+        )
+        assoc = build_associated_market(market)
+        built.clear()
+        final, trace = workers_propose(assoc)
+        assert len(trace.stages) > 2000
+        assert len(built) <= 2
+        assert final in built  # validated, as every snapshot was before
+        assert final is trace.stages[-1].matching
+        assert final.by_worker == trace.stages[-1].by_worker
+
+    @pytest.mark.parametrize("direction", [copies_propose, workers_propose])
+    def test_trace_lines_build_each_snapshot_once(self, built, reference_assoc, direction):
+        _, trace = direction(reference_assoc)
+        built.clear()
+        first = trace_json_lines(reference_assoc, trace)
+        assert len(built) == len(trace.stages) - 1  # the last is the result
+        assert trace_json_lines(reference_assoc, trace) == first
+        assert len(built) == len(trace.stages) - 1
+        for stage, line in zip(trace.stages, first):
+            assert stage.matching.by_worker == stage.by_worker
+            assert json.loads(line)["matching"] == stage.matching.render(reference_assoc)
 
 
 @pytest.mark.parametrize("direction", [copies_propose, workers_propose])
