@@ -188,33 +188,23 @@ def _check_one_to_one(
     for c, w in enumerate(by_copy):
         if w is not None and crank[c][w] > cempty[c]:
             return StabilityReport(False, FIRM_BLOCK, {"copy": c})
-    if len(set(shield_of)) == len(shield_of):
-        # Every copy is alone in its group, so it holds at most its own
-        # worker, which is its pick once the firm-block case has passed:
-        # no pick to scan for and no group mate to envy.
-        picks = by_copy
-    else:
-        held = [0] * (max(shield_of) + 1)
-        for w, c in enumerate(by_worker):
-            if c is not None:
-                held[shield_of[c]] |= bit(w)
-        picks = [
-            order.best_in(held[g]) for order, g in zip(assoc.copy_orders, shield_of)
-        ]
-        for c, w in enumerate(by_copy):
-            if w is None or picks[c] == w:
-                continue
-            row = crank[c]
-            group = shield_of[c]
-            for mate, envied in enumerate(by_copy):
-                if (
-                    shield_of[mate] == group
-                    and envied is not None
-                    and row[envied] < row[w]
-                ):
-                    return StabilityReport(
-                        False, COPY_ENVY, {"copy": c, "envied_copy": mate}
-                    )
+    held = [0] * (max(shield_of, default=-1) + 1)
+    for w, c in enumerate(by_worker):
+        if c is not None:
+            held[shield_of[c]] |= bit(w)
+    picks = [
+        order.best_in(held[g]) for order, g in zip(assoc.copy_orders, shield_of)
+    ]
+    for c, w in enumerate(by_copy):
+        if w is None or picks[c] == w:
+            continue
+        row = crank[c]
+        group = shield_of[c]
+        for mate, envied in enumerate(by_copy):
+            if shield_of[mate] == group and envied is not None and row[envied] < row[w]:
+                return StabilityReport(
+                    False, COPY_ENVY, {"copy": c, "envied_copy": mate}
+                )
     current_rank = [
         wempty[w] if c is None else wrank[w][c] for w, c in enumerate(by_worker)
     ]
@@ -263,8 +253,7 @@ def check_classical_stable(
 
     This is copy stability with every copy as its own shield group.  The
     group of a matched copy holds only the copy's worker, which is its pick
-    once the firm-block case has passed, so the checker takes each copy's
-    own worker as its pick without a scan and copy-envy never fires.  "c
+    once the firm-block case has passed, so copy-envy never fires.  "c
     ranks w at or above its pick" differs from "strictly above the worker
     c holds" only at that worker, who sits on c and cannot prefer it.  The
     scan order is therefore the textbook one: worker rationality, copy
