@@ -1,9 +1,11 @@
 """Resource caps for the exhaustive parts of the library.
 
 Everything here is desk-scale by design: axiom checks enumerate subsets,
-decomposition enumerates selection sequences, and the stable-set oracles
-enumerate candidate matchings.  Caps turn a silent blow-up into a clean
-:class:`~matchdecomp.errors.CapExceededError`.
+decomposition enumerates selection sequences, and the stable-set
+enumerators search candidate matchings.  Caps turn a silent blow-up into a
+clean :class:`~matchdecomp.errors.CapExceededError`.  The first two caps
+refuse an operation before it starts; the candidate cap stops a search
+once its work passes the cap.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ class Caps:
         (2**k menus) is attempted.
     max_orders: largest number of distinct linear orders a single firm's
         decomposition may produce.
-    max_candidates: largest candidate count a matching enumerator may
-        search: the product over workers of one plus the partners each
-        worker is offered.
+    max_candidates: largest number of placements a matching enumerator
+        may try.  Each search node charges every partner it considers for
+        its worker, whether a cut removes it or not, plus staying
+        unmatched; the count is deterministic, since the search order is
+        fixed.
     """
 
     max_workers: int = 16
@@ -69,9 +73,11 @@ def require_universe(size: int, caps: Caps) -> None:
         )
 
 
-def require_candidates(count: int, caps: Caps) -> None:
-    """Guard an enumeration that would scan ``count`` candidates."""
-    if count > caps.max_candidates:
+def require_candidates(tried: int, caps: Caps) -> None:
+    """Stop a search that has tried ``tried`` placements, past the cap."""
+    if tried > caps.max_candidates:
         raise CapExceededError(
-            f"{count} candidates exceed enumeration cap {caps.max_candidates}"
+            f"{tried} placements tried exceed enumeration cap "
+            f"{caps.max_candidates}; the search stopped there, so {tried} is a "
+            "lower bound on the placements it needs"
         )

@@ -138,16 +138,15 @@ def _cmd_solve(args, caps) -> int:
 def _cmd_enumerate(args, caps) -> int:
     doc = load_market(args.market, caps)
     concept = _CONCEPTS[args.concept]
-    pruned = not args.unpruned
     if concept == "stable":
-        found = enumerate_stable(doc.market, caps, pruned=pruned)
+        found = enumerate_stable(doc.market, caps)
         rendered = [m.render(doc.market) for m in found]
     else:
         assoc = _assoc_for(doc, caps)
         if concept == "copy-stable":
-            found = enumerate_copy_stable(assoc, caps, pruned=pruned)
+            found = enumerate_copy_stable(assoc, caps)
         else:
-            found = enumerate_classical_stable(assoc, caps, pruned=pruned)
+            found = enumerate_classical_stable(assoc, caps)
         rendered = [m.render(assoc) for m in found]
     _emit({"concept": concept, "count": len(found), "matchings": rendered})
     return 0
@@ -283,11 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--concept",
         choices=sorted(_CONCEPTS),
         default="stable",
-    )
-    p.add_argument(
-        "--unpruned",
-        action="store_true",
-        help="scan the full candidate space (slow; for cross-checking)",
     )
     p.set_defaults(func=_cmd_enumerate)
 

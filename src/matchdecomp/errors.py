@@ -18,7 +18,8 @@ class AxiomViolationError(MarketError):
 
 
 class CapExceededError(MarketError):
-    """A resource cap (universe size, order count, candidate count) was hit."""
+    """A resource cap was hit: universe size, order count, placements a
+    search tried, or a search deeper than the interpreter's recursion limit."""
 
 
 class DeferredAcceptanceError(MarketError, RuntimeError):

@@ -37,21 +37,22 @@ Such a pair blocks when the worker prefers the copy to its partner and no
 copy of the group holds a worker the copy ranks higher.  Only a worker
 that can still land on the group could shield the pair, so the verdict is
 final once the worker and every such worker are placed.
-Unpruned enumeration scans every candidate assignment and is kept as the
-oracle the test suite compares against.
+The candidate cap charges each placement a search node considers, cut or
+not, and stops the search once the count passes it.  The full scans of
+every candidate assignment that these searches replaced live on in the
+test suite as their oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 
 from .association import OneToOneMarket
 from .bitsets import bit
 from .caps import DEFAULT_CAPS, Caps, require_candidates
 from .choices import ORDERS
-from .errors import MarketValidationError
+from .errors import CapExceededError, MarketValidationError
 from .markets import ManyToOneMarket
 from .matchings import ManyToOneMatching, OneToOneMatching
 
@@ -73,20 +74,16 @@ class StabilityReport:
         return self.stable
 
 
-def _check_m1_shape(market: ManyToOneMarket, matching: ManyToOneMatching) -> None:
-    if len(matching.by_worker) != len(market.workers):
-        raise MarketValidationError("matching covers a different worker count")
-    if matching.firm_count != len(market.firms):
-        raise MarketValidationError("matching covers a different firm count")
-
-
 def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> StabilityReport:
     """Many-to-one stability.
 
     Scan order: worker blocks by worker index, firm blocks by firm index,
     then worker-firm pairs lexicographically by (worker, firm).
     """
-    _check_m1_shape(market, matching)
+    if len(matching.by_worker) != len(market.workers):
+        raise MarketValidationError("matching covers a different worker count")
+    if matching.firm_count != len(market.firms):
+        raise MarketValidationError("matching covers a different firm count")
     ranks = market.firm_rank
     for w, f in enumerate(matching.by_worker):
         if f is not None and f not in ranks[w]:
@@ -111,46 +108,43 @@ def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> Stabil
 
 
 def enumerate_stable(
-    market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS, pruned: bool = True
+    market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[ManyToOneMatching]:
     """Every stable matching, by a depth-first search over workers.
 
-    Pruned, each worker is offered only the firms it finds acceptable, and
-    a substitutable firm takes a worker only while it would keep everyone
+    Each worker is offered only the firms it finds acceptable, and a
+    substitutable firm takes a worker only while it would keep everyone
     it then holds: a set such a firm would not keep has no superset it
     keeps.  A firm that fails substitutability, or is too large for the
-    check, keeps every option.  Unpruned, every worker-to-firm assignment
-    is a candidate.  The candidate cap bounds the product of the options.
+    check, keeps every option.  The candidate cap bounds the placements
+    tried: a node charges its worker's options plus staying unmatched.
     """
     k = len(market.workers)
     n = len(market.firms)
     cfs = market.choice_functions
-    if pruned:
-        options = market.worker_prefs
-        screened = [
-            (cf.kind == ORDERS or cf.universe_size <= caps.max_workers)
-            and cf._substitutable
-            for cf in cfs
-        ]
-    else:
-        options = (tuple(range(n)),) * k
-        screened = [False] * n
-    require_candidates(prod(1 + len(opts) for opts in options), caps)
-
-    # a worker without options stays unmatched, so the depth is bounded by
-    # the cap rather than by the market size
+    options = market.worker_prefs
+    screened = [
+        (cf.kind == ORDERS or cf.universe_size <= caps.max_workers)
+        and cf._substitutable
+        for cf in cfs
+    ]
     movable = [w for w in range(k) if options[w]]
     held = [0] * n
     assignment: list[int | None] = [None] * k
     found = []
+    tried = 0
 
     def place(i: int) -> None:
+        nonlocal tried
         if i == len(movable):
             candidate = ManyToOneMatching(tuple(assignment), n)
             if check_stable(market, candidate).stable:
                 found.append(candidate)
             return
         w = movable[i]
+        tried += 1 + len(options[w])
+        if tried > caps.max_candidates:
+            require_candidates(tried, caps)
         place(i + 1)
         for f in options[w]:
             grown = held[f] | bit(w)
@@ -162,7 +156,15 @@ def enumerate_stable(
             held[f] = grown ^ bit(w)
         assignment[w] = None
 
-    place(0)
+    try:
+        place(0)
+    except RecursionError:
+        # one frame per worker placed; the copy level never gets this deep,
+        # as its decomposition caps the worker count first
+        raise CapExceededError(
+            f"search depth of {len(movable)} workers exceeds the interpreter's "
+            "recursion limit"
+        ) from None
     found.sort(key=lambda m: m.key)
     return found
 
@@ -330,43 +332,41 @@ def _settled_pair_cut(assoc: OneToOneMarket, options, shield_of: tuple[int, ...]
 
 
 def _enumerate_one_to_one(
-    assoc: OneToOneMarket,
-    caps: Caps,
-    pruned: bool,
-    shield_of: tuple[int, ...],
-    accept,
+    assoc: OneToOneMarket, caps: Caps, shield_of: tuple[int, ...], accept
 ) -> list[OneToOneMatching]:
+    """The copy-level search; the cap charges each node its worker's options."""
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
-    if pruned:
-        options = [
-            (None, *(c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c]))
-            for w in range(k)
-        ]
-    else:
-        options = [(None, *range(n_copies))] * k
-    require_candidates(prod(len(opts) for opts in options), caps)
-    envy = _envy_cut(assoc, shield_of) if pruned else None
-    settled = _settled_pair_cut(assoc, options, shield_of) if pruned else None
+    options = [
+        (None, *(c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c]))
+        for w in range(k)
+    ]
+    envy = _envy_cut(assoc, shield_of)
+    settled = _settled_pair_cut(assoc, options, shield_of)
 
     found = []
     assignment: list[int | None] = [None] * k
+    tried = 0
 
     def place(w: int, used: int) -> None:
+        nonlocal tried
         if w == k:
             candidate = OneToOneMatching(tuple(assignment), n_copies)
             if accept(candidate):
                 found.append(candidate)
             return
+        tried += len(options[w])
+        if tried > caps.max_candidates:
+            require_candidates(tried, caps)
         for c in options[w]:
             if c is not None and used >> c & 1:
                 continue
-            if envy is not None and envy(assignment, w, c):
+            if envy(assignment, w, c):
                 continue
             assignment[w] = c
-            if settled is not None and settled(assignment, w):
+            if settled(assignment, w):
                 continue
             place(w + 1, used if c is None else used | 1 << c)
         assignment[w] = None
@@ -377,26 +377,24 @@ def _enumerate_one_to_one(
 
 
 def enumerate_copy_stable(
-    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS, pruned: bool = True
+    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[OneToOneMatching]:
     """Every copy-stable matching of the associated market."""
     return _enumerate_one_to_one(
         assoc,
         caps,
-        pruned,
         assoc.firm_of_copy,
         accept=lambda m: check_copy_stable(assoc, m).stable,
     )
 
 
 def enumerate_classical_stable(
-    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS, pruned: bool = True
+    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[OneToOneMatching]:
     """Every classically stable matching of the associated market."""
     return _enumerate_one_to_one(
         assoc,
         caps,
-        pruned,
         tuple(range(len(assoc.copies))),
         accept=lambda m: check_classical_stable(assoc, m).stable,
     )

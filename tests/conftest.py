@@ -1,5 +1,6 @@
 """Shared fixtures: the packaged reference market, small crafted markets,
-and the golden solution sets used across the suite.
+the golden solution sets used across the suite, and the full-scan oracles
+of the stable-set enumerators.
 
 The acceptance summary hook at the bottom prints one PASS/FAIL line per
 acceptance criterion after the run, regardless of output capturing.
@@ -8,6 +9,7 @@ acceptance criterion after the run, regardless of output capturing.
 from __future__ import annotations
 
 from importlib.resources import files
+from itertools import product
 
 import pytest
 
@@ -19,6 +21,9 @@ from matchdecomp import (
     ManyToOneMatching,
     OneToOneMatching,
     build_associated_market,
+    check_classical_stable,
+    check_copy_stable,
+    check_stable,
     decompose_market,
     load_market,
 )
@@ -115,6 +120,54 @@ def with_first_firm(market: ManyToOneMarket, cf: ChoiceFunction) -> ManyToOneMar
     )
 
 
+# ---------------------------------------------------------------------------
+# full-scan oracles: every candidate assignment, checked one by one
+# ---------------------------------------------------------------------------
+
+
+def full_scan_stable(market: ManyToOneMarket) -> list[ManyToOneMatching]:
+    """Every stable matching, from all (n + 1)**k worker-to-firm assignments.
+
+    The scan ``enumerate_stable`` replaced by its pruned search, kept as
+    its oracle.
+    """
+    n = len(market.firms)
+    # product yields the assignments in key order, unmatched first
+    candidates = (
+        ManyToOneMatching(assignment, n)
+        for assignment in product((None, *range(n)), repeat=len(market.workers))
+    )
+    return [m for m in candidates if check_stable(market, m).stable]
+
+
+def _full_scan_one_to_one(assoc, check) -> list[OneToOneMatching]:
+    n = len(assoc.copies)
+    found = []
+    # product yields the assignments in key order, unmatched first
+    for assignment in product((None, *range(n)), repeat=len(assoc.source.workers)):
+        placed = [c for c in assignment if c is not None]
+        if len(set(placed)) == len(placed):
+            matching = OneToOneMatching(assignment, n)
+            if check(assoc, matching).stable:
+                found.append(matching)
+    return found
+
+
+def full_scan_copy_stable(assoc) -> list[OneToOneMatching]:
+    """Every copy-stable matching, from all injective worker-to-copy assignments.
+
+    The scan ``enumerate_copy_stable`` replaced by its pruned search, kept
+    as its oracle.
+    """
+    return _full_scan_one_to_one(assoc, check_copy_stable)
+
+
+def full_scan_classical_stable(assoc) -> list[OneToOneMatching]:
+    """Every classically stable matching, by the same scan as
+    :func:`full_scan_copy_stable`."""
+    return _full_scan_one_to_one(assoc, check_classical_stable)
+
+
 @pytest.fixture(scope="session")
 def reference_doc():
     return load_market(REFERENCE_PATH)
@@ -177,8 +230,8 @@ def three_worker_market():
 def sparse_market():
     """4 workers and 3 firms; each worker finds one firm acceptable.
 
-    The firm-level candidates number (3 + 1)**4 = 256 unpruned, but only
-    (1 + 1)**4 = 16 over the workers' acceptable firms.
+    The full scan checks (3 + 1)**4 = 256 assignments, where the search
+    offers each worker only its one acceptable firm.
     """
     cf = ChoiceFunction.from_orders((LinearOrder((0, 1, 2, 3)),), 4)
     return ManyToOneMarket(
@@ -199,7 +252,7 @@ ACCEPTANCE_DESCRIPTIONS = {
     6: "merge/split correspondence: 4-to-4 bijection with pinned pairs",
     7: "proposing-side non-optimality diagnostic holds",
     8: "200-seed random-market property suite: zero failures",
-    9: "pruned and unpruned enumeration agree on small fixtures",
+    9: "the enumerators equal the full-scan test oracles on small fixtures",
 }
 
 

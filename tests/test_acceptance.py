@@ -39,6 +39,9 @@ from conftest import (
     copy_sets,
     family_association,
     firm_sets,
+    full_scan_classical_stable,
+    full_scan_copy_stable,
+    full_scan_stable,
     m11,
 )
 
@@ -212,12 +215,6 @@ def test_criterion_9_pruned_and_unpruned_enumeration_agree(
         market = random_market(GenParams(workers=3, firms=2, max_orders=2, seed=seed))
         associations.append(family_association(market))
     for assoc in associations:
-        assert enumerate_copy_stable(assoc, pruned=True) == enumerate_copy_stable(
-            assoc, pruned=False
-        )
-        assert enumerate_classical_stable(
-            assoc, pruned=True
-        ) == enumerate_classical_stable(assoc, pruned=False)
-        assert enumerate_stable(assoc.source, pruned=True) == enumerate_stable(
-            assoc.source, pruned=False
-        )
+        assert enumerate_copy_stable(assoc) == full_scan_copy_stable(assoc)
+        assert enumerate_classical_stable(assoc) == full_scan_classical_stable(assoc)
+        assert enumerate_stable(assoc.source) == full_scan_stable(assoc.source)

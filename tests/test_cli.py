@@ -9,11 +9,14 @@ import pytest
 from matchdecomp import (
     GenParams,
     MarketDocument,
+    build_associated_market,
     canonicalize,
     choices,
     cli,
+    decompose_market,
     decomposition,
     dump_market,
+    load_market,
     random_market,
 )
 from matchdecomp.cli import main
@@ -27,6 +30,9 @@ from conftest import (
     REFERENCE_PATH,
     TABLE_BOTH_FAIL,
     TABLE_SUBST_FAIL,
+    full_scan_classical_stable,
+    full_scan_copy_stable,
+    full_scan_stable,
     with_first_firm,
 )
 
@@ -47,6 +53,25 @@ def last_json(out: str) -> dict:
 def write_market(path, market) -> str:
     path.write_text(dump_market(MarketDocument(market)))
     return str(path)
+
+
+def full_scan_output(path: str, concept: str) -> str:
+    """What ``enumerate`` prints, with the set taken from a full-scan oracle.
+
+    The copy market is built as the CLI builds it, through
+    ``decompose_market`` and the file's copy indexing.
+    """
+    doc = load_market(path)
+    if concept == "stable":
+        rendered = [m.render(doc.market) for m in full_scan_stable(doc.market)]
+    else:
+        assoc = build_associated_market(
+            doc.market, decompose_market(doc.market, doc.copy_indexing)
+        )
+        scan = full_scan_copy_stable if concept == "copy-stable" else full_scan_classical_stable
+        rendered = [m.render(assoc) for m in scan(assoc)]
+    report = {"concept": concept, "count": len(rendered), "matchings": rendered}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture()
@@ -223,42 +248,53 @@ class TestEnumerate:
         assert json.loads(out)["concept"] == "copy-stable"
 
     def test_unpruned_agrees(self, capsys):
-        _, fast, _ = run_cli(capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable")
-        _, slow, _ = run_cli(
-            capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable", "--unpruned"
+        code, out, _ = run_cli(
+            capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable"
         )
-        assert fast == slow
+        assert code == 0
+        assert out == full_scan_output(REFERENCE_PATH, "copy-stable")
 
     @pytest.mark.parametrize("concept", ["stable", "copy-stable", "classical"])
-    @pytest.mark.parametrize("which", ["reference", "not-substitutable"])
+    @pytest.mark.parametrize("which", ["reference", "not-substitutable", "dense"])
     def test_unpruned_output_is_identical(self, capsys, tmp_path, concept, which):
         # the second market's first firm is a table that is not
         # substitutable: the firm level keeps its every option, and the
-        # copy level exits 2 either way
+        # copy level exits 2 before any search; the dense k=4 market has
+        # three stable and three copy-stable matchings over ten copies
         path = REFERENCE_PATH
         if which == "not-substitutable":
             market = random_market(GenParams(workers=3, firms=2, max_orders=2, seed=4))
             table = choices.ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)
             path = write_market(tmp_path / "m.json", with_first_firm(market, table))
-        argv = ["enumerate", path, "--concept", concept]
-        fast = run_cli(capsys, *argv)
-        assert fast == run_cli(capsys, *argv, "--unpruned")
-        assert fast[0] == (2 if which != "reference" and concept != "stable" else 0)
+        elif which == "dense":
+            market = random_market(
+                GenParams(workers=4, firms=3, max_orders=3, density=1.0, seed=46)
+            )
+            path = write_market(tmp_path / "dense.json", market)
+        code, out, err = run_cli(capsys, "enumerate", path, "--concept", concept)
+        if which == "not-substitutable" and concept != "stable":
+            assert (code, out) == (2, "")
+            assert "error" in json.loads(err)
+        else:
+            assert (code, out, err) == (0, full_scan_output(path, concept), "")
 
     def test_candidate_cap_bounds_the_pruned_product(
         self, capsys, monkeypatch, tmp_path, sparse_market
     ):
-        # 16 candidates over the acceptable firms, 256 over all of them
+        # 15 search nodes over the one firm each worker accepts, each
+        # charging that firm and staying unmatched: 30 placements tried
         path = write_market(tmp_path / "sparse.json", sparse_market)
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "100")
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "30")
         code, out, _ = run_cli(capsys, "enumerate", path, "--concept", "stable")
         assert code == 0
         assert json.loads(out)["count"] == 1
-        code, out, err = run_cli(
-            capsys, "enumerate", path, "--concept", "stable", "--unpruned"
-        )
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "29")
+        code, out, err = run_cli(capsys, "enumerate", path, "--concept", "stable")
         assert (code, out) == (4, "")
-        assert json.loads(err) == {"error": "256 candidates exceed enumeration cap 100"}
+        assert json.loads(err) == {
+            "error": "30 placements tried exceed enumeration cap 29; the search "
+            "stopped there, so 30 is a lower bound on the placements it needs"
+        }
 
     def test_stable_set_contents(self, capsys):
         _, out, _ = run_cli(capsys, "enumerate", REFERENCE_PATH, "--concept", "stable")
@@ -543,6 +579,49 @@ class TestCaps:
         assert out == ""
         assert_input_error(code, err)
 
+    @pytest.mark.parametrize(
+        "gen, argv",
+        [
+            (["--workers", "6", "--firms", "3", "--max-orders", "3", "--density",
+              "0.8"], ["verify"]),
+            (["--workers", "16", "--firms", "4", "--max-orders", "1", "--density",
+              "0.5"], ["enumerate", "--concept", "stable"]),
+        ],
+    )
+    def test_candidate_cap_counts_work_not_the_product(self, capsys, tmp_path, gen, argv):
+        # the products of the options, 4,551,750,000 for the first market's
+        # copy-stable search and 29,491,200 for the second, are far past the
+        # default cap; the searches try 5,163 and 141 placements
+        path = str(tmp_path / "m.json")
+        assert run_cli(capsys, "gen", *gen, "--seed", "2", "--out", path)[0] == 0
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    def test_a_stopped_search_reports_a_lower_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "100")
+        code, out, err = run_cli(
+            capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable"
+        )
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": "104 placements tried exceed enumeration cap 100; the search "
+            "stopped there, so 104 is a lower bound on the placements it needs"
+        }
+
+    def test_reference_copy_stable_search_tries_533_placements(
+        self, capsys, monkeypatch
+    ):
+        # a work guard: the cap passes at the measured count, not one below
+        argv = ["enumerate", REFERENCE_PATH, "--concept", "copy-stable"]
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "533")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["count"]) == (0, 4)
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "532")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"].startswith("533 placements tried exceed")
+
 
 class TestParserReuse:
     """Repeated main() calls in one process share one parser, not state."""
@@ -576,8 +655,6 @@ class TestParserReuse:
              "copies_propose", "reauthorize"),
             (["solve", "--proposing", "workers"], "--no-release",
              "workers_propose", "release"),
-            (["enumerate", "--concept", "copy-stable"], "--unpruned",
-             "enumerate_copy_stable", "pruned"),
         ],
     )
     def test_a_flag_does_not_outlive_its_call(

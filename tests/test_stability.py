@@ -42,6 +42,9 @@ from conftest import (
     copy_sets,
     family_association,
     firm_sets,
+    full_scan_classical_stable,
+    full_scan_copy_stable,
+    full_scan_stable,
     m1,
     m11,
     with_first_firm,
@@ -86,9 +89,25 @@ class TestManyToOne:
             check_stable(reference_market, ManyToOneMatching((None,), 2))
 
     def test_candidate_cap(self, reference_market):
-        caps = Caps(max_workers=16, max_orders=5040, max_candidates=10)
-        with pytest.raises(CapExceededError):
-            enumerate_stable(reference_market, caps)
+        # 34 search nodes, each charging its worker's two firms and staying
+        # unmatched: the cap stops the search once 102 placements are passed
+        caps = Caps(max_workers=16, max_orders=5040, max_candidates=102)
+        assert enumerate_stable(reference_market, caps) == enumerate_stable(
+            reference_market
+        )
+        with pytest.raises(CapExceededError, match="^102 placements tried exceed"):
+            enumerate_stable(reference_market, Caps(max_candidates=101))
+        with pytest.raises(CapExceededError, match="^12 placements tried exceed"):
+            enumerate_stable(reference_market, Caps(max_candidates=10))
+
+    def test_search_too_deep_for_the_interpreter_is_a_cap_error(self):
+        # no product bound refuses this market up front, and depth first the
+        # search places one worker per frame
+        market = random_market(
+            GenParams(workers=1200, firms=3, max_orders=1, density=0.5, seed=2)
+        )
+        with pytest.raises(CapExceededError, match="recursion limit"):
+            enumerate_stable(market)
 
 
 class TestCopyStable:
@@ -350,22 +369,22 @@ class TestPickCheck:
 
 
 class TestPruning:
+    """Each pruned search against the full scan it replaced."""
+
     def test_reference_pruned_equals_unpruned(self, reference_assoc):
-        assert enumerate_copy_stable(reference_assoc) == enumerate_copy_stable(
-            reference_assoc, pruned=False
+        assert enumerate_copy_stable(reference_assoc) == full_scan_copy_stable(
+            reference_assoc
         )
-        assert enumerate_classical_stable(reference_assoc) == enumerate_classical_stable(
-            reference_assoc, pruned=False
-        )
+        assert enumerate_classical_stable(
+            reference_assoc
+        ) == full_scan_classical_stable(reference_assoc)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_small_random_markets_agree(self, seed):
         market = random_market(GenParams(workers=3, firms=2, max_orders=2, seed=seed))
         assoc = family_association(market)
-        assert enumerate_copy_stable(assoc) == enumerate_copy_stable(assoc, pruned=False)
-        assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
-            assoc, pruned=False
-        )
+        assert enumerate_copy_stable(assoc) == full_scan_copy_stable(assoc)
+        assert enumerate_classical_stable(assoc) == full_scan_classical_stable(assoc)
 
     @pytest.mark.parametrize(
         "seed, firms",
@@ -374,18 +393,16 @@ class TestPruning:
     )
     def test_dense_markets_with_several_matchings_agree(self, seed, firms):
         # k=4 markets picked for a copy-stable set of two or more, so that
-        # the settled-pair cut has matchings to lose; each unpruned scan is
-        # bounded by (copies + 1)**4 <= 6561
+        # the settled-pair cut has matchings to lose; each full scan checks
+        # at most (copies + 1)**4 <= 6561 assignments
         market = random_market(
             GenParams(workers=4, firms=firms, max_orders=3, density=1.0, seed=seed)
         )
         assoc = family_association(market)
         found = enumerate_copy_stable(assoc)
         assert len(found) >= 2
-        assert found == enumerate_copy_stable(assoc, pruned=False)
-        assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
-            assoc, pruned=False
-        )
+        assert found == full_scan_copy_stable(assoc)
+        assert enumerate_classical_stable(assoc) == full_scan_classical_stable(assoc)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_copy_stable_is_the_split_image_of_the_firm_level_scan(self, seed):
@@ -398,7 +415,7 @@ class TestPruning:
             )
         )
         assoc = family_association(market)
-        image = [split_matching(assoc, m) for m in enumerate_stable(market, pruned=False)]
+        image = [split_matching(assoc, m) for m in full_scan_stable(market)]
         assert enumerate_copy_stable(assoc) == sorted(image, key=lambda m: m.key)
 
     @pytest.mark.parametrize(
@@ -427,14 +444,19 @@ class TestPruning:
         assert size <= calls <= most
 
     def test_one_to_one_candidate_cap(self, reference_assoc):
-        caps = Caps(max_workers=16, max_orders=5040, max_candidates=1000)
-        with pytest.raises(CapExceededError):
-            enumerate_copy_stable(reference_assoc, caps)
+        # each node charges its worker's options, staying unmatched included,
+        # cut or not; the full product would be thousands of assignments
+        for enumerate_set, tried in (
+            (enumerate_copy_stable, 533),
+            (enumerate_classical_stable, 975),
+        ):
+            found = enumerate_set(reference_assoc)
+            assert enumerate_set(reference_assoc, Caps(max_candidates=tried)) == found
+            with pytest.raises(CapExceededError, match="is a lower bound"):
+                enumerate_set(reference_assoc, Caps(max_candidates=tried - 1))
 
     def test_reference_firm_level_pruned_equals_unpruned(self, reference_market):
-        assert enumerate_stable(reference_market) == enumerate_stable(
-            reference_market, pruned=False
-        )
+        assert enumerate_stable(reference_market) == full_scan_stable(reference_market)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_firm_level_random_markets_agree(self, seed):
@@ -450,7 +472,7 @@ class TestPruning:
                 [rng.randrange(1 << k) & menu for menu in range(1 << k)], k
             )
             market = with_first_firm(market, table)
-        assert enumerate_stable(market) == enumerate_stable(market, pruned=False)
+        assert enumerate_stable(market) == full_scan_stable(market)
 
     def test_complementary_firm_keeps_its_pair(self):
         # C({a, b}) = {a, b} but C({a}) = C({b}) = {}: the firm would not
@@ -486,15 +508,16 @@ class TestPruning:
             )
         )
         assoc = family_association(market)
-        assert enumerate_classical_stable(assoc) == enumerate_classical_stable(
-            assoc, pruned=False
-        )
+        assert enumerate_classical_stable(assoc) == full_scan_classical_stable(assoc)
 
     def test_firm_level_cap_bounds_the_pruned_product(self, sparse_market):
-        caps = Caps(max_candidates=100)
-        assert enumerate_stable(sparse_market, caps) == enumerate_stable(sparse_market)
-        with pytest.raises(CapExceededError):
-            enumerate_stable(sparse_market, caps, pruned=False)
+        # 15 nodes over the one firm each worker accepts, 2 placements each;
+        # the firm-level search counts its cut placements too
+        found = enumerate_stable(sparse_market)
+        assert found == full_scan_stable(sparse_market)
+        assert enumerate_stable(sparse_market, Caps(max_candidates=30)) == found
+        with pytest.raises(CapExceededError, match="^30 placements tried"):
+            enumerate_stable(sparse_market, Caps(max_candidates=29))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
