@@ -27,8 +27,9 @@ class Caps:
     max_candidates: largest number of placements a matching enumerator
         may try.  Each search node charges every partner it considers for
         its worker, whether a cut removes it or not, plus staying
-        unmatched; the count is deterministic, since the search order is
-        fixed.
+        unmatched; the classical enumerator, which does not search,
+        charges each proposal of Gale-Shapley and break-marriage instead.
+        The count is deterministic, since the order of work is fixed.
     """
 
     max_workers: int = 16

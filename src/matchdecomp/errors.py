@@ -24,7 +24,8 @@ class CapExceededError(MarketError):
 
 class DeferredAcceptanceError(MarketError, RuntimeError):
     """Deferred acceptance ended on a matching that is not copy-stable, or
-    ran past its stage bound.  Also a ``RuntimeError``, so callers that
+    ran past its stage bound, or break-marriage listed a matching that is
+    not classically stable.  Also a ``RuntimeError``, so callers that
     catch ``RuntimeError`` keep catching it."""
 
 

@@ -23,36 +23,38 @@ Three notions live here:
 
 Checkers return the first violation in a fixed scan order (cases in the
 order listed in each docstring; agents by ascending index; pairs
-lexicographic), so witnesses are deterministic.  Enumerators place workers
-depth first in index order, cut branches that no completion can make
-stable, filter every complete assignment with the matching checker, and
-return results sorted by the worker-side assignment tuple.  The cuts: a
-worker is offered only partners that individual rationality allows; at the
-firm level a substitutable firm takes a worker only while it would keep
-everyone it then holds; and on the copy market, keyed by the shield
-group -- the copy and its siblings for ``copy_stable``, the copy alone for
-``classical_stable`` -- no copy may envy a settled group mate's worker,
-and a copy-worker pair that blocks is cut once its verdict is final.
-Such a pair blocks when the worker prefers the copy to its partner and no
-copy of the group holds a worker the copy ranks higher.  Only a worker
-that can still land on the group could shield the pair, so the verdict is
-final once the worker and every such worker are placed.
+lexicographic), so witnesses are deterministic.  Enumerators return
+results sorted by the worker-side assignment tuple.  The stable and
+copy-stable enumerators place workers depth first in index order, cut
+branches that no completion can make stable, and filter every complete
+assignment with the matching checker.  The cuts: a worker is offered only
+partners that individual rationality allows; at the firm level a
+substitutable firm takes a worker only while it would keep everyone it
+then holds; and on the copy market no copy may envy a settled sibling's
+worker, and a copy-worker pair that blocks is cut once its verdict is
+final.  Such a pair blocks when the worker prefers the copy to its
+partner and no copy of the firm holds a worker the copy ranks higher.
+Only a worker that can still land on the firm could shield the pair, so
+the verdict is final once the worker and every such worker are placed.
+The classical set needs no search: the copy market is then a textbook
+one-to-one market, whose stable set is listed from the worker-optimal
+Gale-Shapley matching by break-marriage.
 The candidate cap charges each placement a search node considers, cut or
-not, and stops the search once the count passes it.  The full scans of
-every candidate assignment that these searches replaced live on in the
-test suite as their oracles.
+not, and each Gale-Shapley or break-marriage proposal, and stops the run
+once the count passes it.  The full scans of every candidate assignment
+that these enumerators replaced live on in the test suite as their
+oracles.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .association import OneToOneMarket
 from .bitsets import bit
 from .caps import DEFAULT_CAPS, Caps, require_candidates
 from .choices import ORDERS
-from .errors import CapExceededError, MarketValidationError
+from .errors import CapExceededError, DeferredAcceptanceError, MarketValidationError
 from .markets import ManyToOneMarket
 from .matchings import ManyToOneMatching, OneToOneMatching
 
@@ -195,7 +197,8 @@ def _check_one_to_one(
         if c is not None:
             held[shield_of[c]] |= bit(w)
     picks = [
-        order.best_in(held[g]) for order, g in zip(assoc.copy_orders, shield_of)
+        order.best_in(held[g]) if held[g] else None
+        for order, g in zip(assoc.copy_orders, shield_of)
     ]
     for c, w in enumerate(by_copy):
         if w is None or picks[c] == w:
@@ -264,23 +267,22 @@ def check_classical_stable(
     return _check_one_to_one(assoc, matching, tuple(range(len(assoc.copies))))
 
 
-def _envy_cut(assoc: OneToOneMarket, shield_of: tuple[int, ...]):
-    """Cut ``w`` on ``c`` when ``c`` and a settled group mate envy each other's worker."""
+def _envy_cut(assoc: OneToOneMarket):
+    """Cut ``w`` on ``c`` when ``c`` and a settled sibling envy each other's worker."""
     crank = assoc.copy_rank
-    sizes = Counter(shield_of)
-    alone = [sizes[g] == 1 for g in shield_of]
+    firm_of = assoc.firm_of_copy
 
     def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
-        if c is None or alone[c]:
+        if c is None:
             return False
         row = crank[c]
         mine = row[w]
-        group = shield_of[c]
+        firm = firm_of[c]
         for other_w in range(w):
             other_c = assignment[other_w]
             if (
                 other_c is not None
-                and shield_of[other_c] == group
+                and firm_of[other_c] == firm
                 and (row[other_w] < mine or crank[other_c][w] < crank[other_c][other_w])
             ):
                 return True
@@ -289,40 +291,41 @@ def _envy_cut(assoc: OneToOneMarket, shield_of: tuple[int, ...]):
     return cut
 
 
-def _settled_pair_cut(assoc: OneToOneMarket, options, shield_of: tuple[int, ...]):
+def _settled_pair_cut(assoc: OneToOneMarket, options):
     """Cut a partial assignment once a pair whose verdict is final blocks.
 
     A copy ``c`` and a worker ``w`` it ranks block when ``w`` prefers ``c``
-    to its partner and no copy of ``c``'s shield group (copies sharing
-    ``shield_of[c]``) holds a worker ``c`` ranks above ``w``.  Only a
-    worker that can land on the group shields the pair, so its verdict is
-    final once ``w`` and every such worker are placed: ``final[d]`` lists
-    the pairs that settle when worker ``d`` is placed.
+    to its partner and no copy of ``c``'s firm holds a worker ``c`` ranks
+    above ``w``.  Only a worker that can land on the firm shields the
+    pair, so its verdict is final once ``w`` and every such worker are
+    placed: ``final[d]`` lists the pairs that settle when worker ``d`` is
+    placed.
     """
     k = len(options)
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
     crank = assoc.copy_rank
-    reach = [{shield_of[c] for c in opts if c is not None} for opts in options]
+    firm_of = assoc.firm_of_copy
+    reach = [{firm_of[c] for c in opts if c is not None} for opts in options]
     final = [[] for _ in range(k)]
     for w, opts in enumerate(options):
         for c in opts:
             if c is None:
                 continue
             row = crank[c]
-            group = shield_of[c]
+            firm = firm_of[c]
             shielders = tuple(
-                v for v in range(k) if row[v] < row[w] and group in reach[v]
+                v for v in range(k) if row[v] < row[w] and firm in reach[v]
             )
-            final[max((w, *shielders))].append((w, wrank[w][c], group, shielders))
+            final[max((w, *shielders))].append((w, wrank[w][c], firm, shielders))
 
     def cut(assignment: list[int | None], d: int) -> bool:
-        for w, rank_c, group, shielders in final[d]:
+        for w, rank_c, firm, shielders in final[d]:
             current = assignment[w]
             if rank_c >= (wempty[w] if current is None else wrank[w][current]):
                 continue
             if not any(
-                assignment[v] is not None and shield_of[assignment[v]] == group
+                assignment[v] is not None and firm_of[assignment[v]] == firm
                 for v in shielders
             ):
                 return True
@@ -331,20 +334,28 @@ def _settled_pair_cut(assoc: OneToOneMarket, options, shield_of: tuple[int, ...]
     return cut
 
 
-def _enumerate_one_to_one(
-    assoc: OneToOneMarket, caps: Caps, shield_of: tuple[int, ...], accept
-) -> list[OneToOneMatching]:
-    """The copy-level search; the cap charges each node its worker's options."""
-    k = len(assoc.source.workers)
-    n_copies = len(assoc.copies)
+def _mutual_lists(assoc: OneToOneMarket) -> list[tuple[int, ...]]:
+    """Each worker's lifted copies that rank it, in the worker's order."""
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
-    options = [
-        (None, *(c for c in assoc.worker_prefs[w] if crank[c][w] < cempty[c]))
-        for w in range(k)
+    return [
+        tuple(c for c in lifted if crank[c][w] < cempty[c])
+        for w, lifted in enumerate(assoc.worker_prefs)
     ]
-    envy = _envy_cut(assoc, shield_of)
-    settled = _settled_pair_cut(assoc, options, shield_of)
+
+
+def enumerate_copy_stable(
+    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS
+) -> list[OneToOneMatching]:
+    """Every copy-stable matching of the associated market.
+
+    The copy-level search; the cap charges each node its worker's options.
+    """
+    k = len(assoc.source.workers)
+    n_copies = len(assoc.copies)
+    options = [(None, *mutual) for mutual in _mutual_lists(assoc)]
+    envy = _envy_cut(assoc)
+    settled = _settled_pair_cut(assoc, options)
 
     found = []
     assignment: list[int | None] = [None] * k
@@ -354,7 +365,7 @@ def _enumerate_one_to_one(
         nonlocal tried
         if w == k:
             candidate = OneToOneMatching(tuple(assignment), n_copies)
-            if accept(candidate):
+            if check_copy_stable(assoc, candidate).stable:
                 found.append(candidate)
             return
         tried += len(options[w])
@@ -376,25 +387,102 @@ def _enumerate_one_to_one(
     return found
 
 
-def enumerate_copy_stable(
-    assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS
-) -> list[OneToOneMatching]:
-    """Every copy-stable matching of the associated market."""
-    return _enumerate_one_to_one(
-        assoc,
-        caps,
-        assoc.firm_of_copy,
-        accept=lambda m: check_copy_stable(assoc, m).stable,
-    )
-
-
 def enumerate_classical_stable(
     assoc: OneToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[OneToOneMatching]:
-    """Every classically stable matching of the associated market."""
-    return _enumerate_one_to_one(
-        assoc,
-        caps,
-        tuple(range(len(assoc.copies))),
-        accept=lambda m: check_classical_stable(assoc, m).stable,
-    )
+    """Every classically stable matching of the associated market.
+
+    Classically the copy market is a textbook one-to-one market with
+    incomplete lists, so its stable set is listed from the worker-optimal
+    Gale-Shapley matching by McVitie & Wilson's break-marriage, with the
+    duplicate rule of Gusfield & Irving (1989).  Breaking worker ``i``
+    frees its copy, which now takes only a worker it ranks above ``i``,
+    and lets ``i`` and each worker it displaces propose further down
+    their lists.  The break succeeds when that copy is filled again.  It
+    fails when a worker runs off its list or a proposal reaches a copy
+    that was unmatched, since every stable matching matches the same
+    agents, and it is abandoned when it displaces a worker of lower index
+    than ``i``.  A matching reached by breaking ``i`` breaks only workers
+    ``j >= i``, so each stable matching is listed once.  Each proposal is
+    charged to the candidate cap, and every matching listed must pass
+    :func:`check_classical_stable`.
+    """
+    k = len(assoc.source.workers)
+    n_copies = len(assoc.copies)
+    crank = assoc.copy_rank
+    lists = _mutual_lists(assoc)
+    tried = 0
+
+    def charge() -> None:
+        nonlocal tried
+        tried += 1
+        if tried > caps.max_candidates:
+            require_candidates(tried, caps)
+
+    # pos[w] indexes w's partner in lists[w], or is len(lists[w]) when w
+    # ran off its list unmatched
+    pos = [-1] * k
+    holder: list[int | None] = [None] * n_copies
+    for w in range(k):
+        while w is not None:
+            pos[w] += 1
+            if pos[w] == len(lists[w]):
+                break
+            c = lists[w][pos[w]]
+            charge()
+            held = holder[c]
+            if held is None or crank[c][w] < crank[c][held]:
+                holder[c] = w
+                w = held
+
+    def break_marriage(pos, holder, i):
+        pos, holder = list(pos), list(holder)
+        vacant = lists[i][pos[i]]
+        bar = crank[vacant][i]
+        holder[vacant] = None
+        w = i
+        while True:
+            pos[w] += 1
+            if pos[w] == len(lists[w]):
+                return None
+            c = lists[w][pos[w]]
+            charge()
+            held = holder[c]
+            if c == vacant:
+                if crank[c][w] < bar:
+                    holder[c] = w
+                    return pos, holder
+            elif held is None:
+                return None
+            elif crank[c][w] < crank[c][held]:
+                if held < i:
+                    return None
+                holder[c] = w
+                w = held
+
+    found = []
+    pending = [(pos, holder, 0)]
+    while pending:
+        pos, holder, first = pending.pop()
+        found.append(
+            OneToOneMatching(
+                tuple(row[p] if p < len(row) else None for row, p in zip(lists, pos)),
+                n_copies,
+            )
+        )
+        for i in range(first, k):
+            if pos[i] < len(lists[i]):
+                broken = break_marriage(pos, holder, i)
+                if broken is not None:
+                    pending.append((*broken, i))
+    for matching in found:
+        report = check_classical_stable(assoc, matching)
+        if not report.stable:
+            names = {"worker": assoc.source.workers, "copy": assoc.copy_labels}
+            witness = {key: names[key][v] for key, v in report.witness.items()}
+            raise DeferredAcceptanceError(
+                f"break-marriage produced an unstable matching: {report.case} "
+                f"witness {witness}"
+            )
+    found.sort(key=lambda m: m.key)
+    return found

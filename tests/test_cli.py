@@ -598,6 +598,22 @@ class TestCaps:
         assert (code, err) == (0, "")
         assert json.loads(out)
 
+    @pytest.mark.parametrize("workers, max_orders", [("8", "3"), ("10", "2")])
+    def test_classical_set_at_scale(
+        self, capsys, monkeypatch, tmp_path, workers, max_orders
+    ):
+        # a leaf search over settled pairs tried 1,131,955 placements on the
+        # k=8 market and ran for over a minute on the k=10 one; Gale-Shapley
+        # and break-marriage make 36 and 37 proposals
+        path = str(tmp_path / "m.json")
+        gen = ["--workers", workers, "--firms", "3", "--max-orders", max_orders]
+        assert run_cli(capsys, "gen", *gen, "--density", "0.8", "--seed", "2",
+                       "--out", path)[0] == 0
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "10000")
+        code, out, err = run_cli(capsys, "enumerate", path, "--concept", "classical")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 1
+
     def test_a_stopped_search_reports_a_lower_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "100")
         code, out, err = run_cli(

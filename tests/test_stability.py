@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from matchdecomp import (
     Caps,
     CapExceededError,
     ChoiceFunction,
+    DeferredAcceptanceError,
     GenParams,
     LinearOrder,
     ManyToOneMarket,
@@ -318,6 +320,43 @@ def sibling_perturbations(assoc, matching):
             yield OneToOneMatching(tuple(moved), n_copies)
 
 
+def unit_demand_market(rng, k: int, complete: bool) -> ManyToOneMarket:
+    """k workers and k firms, each firm choosing by one random order."""
+
+    def some(n):
+        return tuple(rng.sample(range(n), n if complete else rng.randint(1, n)))
+
+    firms = tuple(
+        ChoiceFunction.from_orders((LinearOrder(some(k)),), k) for _ in range(k)
+    )
+    return ManyToOneMarket(
+        tuple(f"w{i}" for i in range(k)),
+        tuple(f"f{i}" for i in range(k)),
+        firms,
+        tuple(some(k) for _ in range(k)),
+    )
+
+
+def block_market(m: int) -> ManyToOneMarket:
+    """m disjoint blocks, each with two stable matchings, so 2**m in all.
+
+    In block b, workers 2b and 2b+1 each prefer firm 2b and firm 2b+1
+    respectively, and each firm prefers the other block worker.
+    """
+    prefs, firms = [], []
+    for b in range(m):
+        first, second = 2 * b, 2 * b + 1
+        prefs += [(first, second), (second, first)]
+        firms += [(second, first), (first, second)]
+    k = 2 * m
+    return ManyToOneMarket(
+        tuple(f"w{i}" for i in range(k)),
+        tuple(f"f{i}" for i in range(k)),
+        tuple(ChoiceFunction.from_orders((LinearOrder(o),), k) for o in firms),
+        tuple(prefs),
+    )
+
+
 class TestPickCheck:
     """The pick-based checker against the sibling-scan and textbook oracles."""
 
@@ -418,37 +457,65 @@ class TestPruning:
         image = [split_matching(assoc, m) for m in full_scan_stable(market)]
         assert enumerate_copy_stable(assoc) == sorted(image, key=lambda m: m.key)
 
-    @pytest.mark.parametrize(
-        "enumerate_set, checker, size, most",
-        [
-            (enumerate_copy_stable, "check_copy_stable", 4, 8),
-            (enumerate_classical_stable, "check_classical_stable", 1, 4),
-        ],
-    )
-    def test_reference_leaf_checks_stay_few(
-        self, reference_assoc, monkeypatch, enumerate_set, checker, size, most
-    ):
+    def test_reference_leaf_checks_stay_few(self, reference_assoc, monkeypatch):
         # the full product holds thousands of complete assignments; the
         # cuts leave at most a handful for the leaf checker, and every
         # matching found passed one leaf check
-        check = getattr(stability, checker)
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return check(*args)
+            return check_copy_stable(*args)
 
-        monkeypatch.setattr(stability, checker, counted)
-        assert len(enumerate_set(reference_assoc)) == size
-        assert size <= calls <= most
+        monkeypatch.setattr(stability, "check_copy_stable", counted)
+        assert len(enumerate_copy_stable(reference_assoc)) == 4
+        assert 4 <= calls <= 8
+
+    def test_reference_classical_search_makes_12_proposals(
+        self, reference_assoc, monkeypatch
+    ):
+        # Gale-Shapley reaches the worker-optimal matching in 6 proposals;
+        # each of the 4 breaks then reaches a copy that was unmatched after
+        # 1 or 2 more.  The one matching listed gets one closing check.
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check_classical_stable(*args)
+
+        monkeypatch.setattr(stability, "check_classical_stable", counted)
+        found = enumerate_classical_stable(reference_assoc, Caps(max_candidates=12))
+        assert (len(found), calls) == (1, 1)
+        with pytest.raises(CapExceededError, match="^12 placements tried exceed"):
+            enumerate_classical_stable(reference_assoc, Caps(max_candidates=11))
+
+    def test_classical_closing_check_failure_is_reported(
+        self, reference_assoc, monkeypatch
+    ):
+        # the closing check never fails on a correct search; when it does,
+        # the error names the witness by its labels
+        monkeypatch.setattr(
+            stability,
+            "check_classical_stable",
+            lambda assoc, matching: StabilityReport(
+                False, PAIR_BLOCK, {"copy": 1, "worker": 0}
+            ),
+        )
+        with pytest.raises(
+            DeferredAcceptanceError,
+            match="pair-block witness {'copy': 'f1.2', 'worker': 'w1'}",
+        ):
+            enumerate_classical_stable(reference_assoc)
 
     def test_one_to_one_candidate_cap(self, reference_assoc):
-        # each node charges its worker's options, staying unmatched included,
-        # cut or not; the full product would be thousands of assignments
+        # a copy-stable node charges its worker's options, staying unmatched
+        # included, cut or not (the full product would be thousands of
+        # assignments); the classical search charges each proposal
         for enumerate_set, tried in (
             (enumerate_copy_stable, 533),
-            (enumerate_classical_stable, 975),
+            (enumerate_classical_stable, 12),
         ):
             found = enumerate_set(reference_assoc)
             assert enumerate_set(reference_assoc, Caps(max_candidates=tried)) == found
@@ -509,6 +576,40 @@ class TestPruning:
         )
         assoc = family_association(market)
         assert enumerate_classical_stable(assoc) == full_scan_classical_stable(assoc)
+
+    def test_classical_unit_demand_markets_agree(self):
+        # one single-order firm per worker: the copy market is a textbook
+        # stable-marriage instance, with complete lists for three seeds in
+        # four, and many such instances have several stable matchings
+        sizes = Counter()
+        for seed in range(64):
+            rng = random.Random(seed)
+            assoc = family_association(
+                unit_demand_market(rng, 3 + seed % 3, complete=seed % 4 > 0)
+            )
+            found = enumerate_classical_stable(assoc)
+            assert found == full_scan_classical_stable(assoc)
+            sizes[len(found)] += 1
+        assert sum(n for size, n in sizes.items() if size >= 2) >= 15, sizes
+        assert max(sizes) >= 4, sizes
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_classical_block_market_lists_all_2_to_the_m(self, m):
+        # each block of two workers and two firms is either straight or
+        # swapped, independently of the others
+        assoc = family_association(block_market(m))
+        found = enumerate_classical_stable(assoc)
+        expected = [
+            OneToOneMatching(
+                tuple(2 * b + (side ^ swap) for b, swap in enumerate(swaps) for side in (0, 1)),
+                2 * m,
+            )
+            for swaps in product((0, 1), repeat=m)
+        ]
+        assert len(found) == 2**m
+        assert found == sorted(expected, key=lambda matching: matching.key)
+        if m == 2:
+            assert found == full_scan_classical_stable(assoc)
 
     def test_firm_level_cap_bounds_the_pruned_product(self, sparse_market):
         # 15 nodes over the one firm each worker accepts, 2 placements each;
