@@ -83,17 +83,20 @@ def decompose(
             "decomposition requires a path-independent choice function", pi
         )
     table = cf._full_table
-    found: set[tuple[int, ...]] = set()
+    result: list[LinearOrder] = []
     max_orders = caps.max_orders
 
+    # a pick sequence fixes the menu it leaves, so distinct leaves give
+    # distinct orders, and none is a prefix of another: children taken in
+    # ascending worker order reach the leaves already sorted
     def walk(remaining: int, prefix: list[int]) -> None:
         chosen = table[remaining]
         if not chosen:
-            if len(found) >= max_orders and tuple(prefix) not in found:
+            if len(result) >= max_orders:
                 raise CapExceededError(
                     f"decomposition exceeds {max_orders} distinct orders"
                 )
-            found.add(tuple(prefix))
+            result.append(LinearOrder(tuple(prefix)))
             return
         for w in iter_indices(chosen):
             prefix.append(w)
@@ -101,7 +104,6 @@ def decompose(
             prefix.pop()
 
     walk((1 << cf.universe_size) - 1, [])
-    result = [LinearOrder(seq) for seq in sorted(found)]
 
     if explicit is not None:
         explicit = tuple(explicit)

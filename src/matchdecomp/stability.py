@@ -30,7 +30,9 @@ branches that no completion can make stable, and filter every complete
 assignment with the matching checker.  The cuts: a worker is offered only
 partners that individual rationality allows; at the firm level a
 substitutable firm takes a worker only while it would keep everyone it
-then holds; and on the copy market no copy may envy a settled sibling's
+then holds, and a worker goes no lower than the first substitutable firm
+on its list that would take it from every menu the firm can still hold;
+and on the copy market no copy may envy a settled sibling's
 worker, and a copy-worker pair that blocks is cut once its verdict is
 final.  Such a pair blocks when the worker prefers the copy to its
 partner and no copy of the firm holds a worker the copy ranks higher.
@@ -117,9 +119,16 @@ def enumerate_stable(
     Each worker is offered only the firms it finds acceptable, and a
     substitutable firm takes a worker only while it would keep everyone
     it then holds: a set such a firm would not keep has no superset it
-    keeps.  A firm that fails substitutability, or is too large for the
-    check, keeps every option.  The candidate cap bounds the placements
-    tried: a node charges its worker's options plus staying unmatched.
+    keeps.  A worker ``w`` also goes no lower than the first substitutable
+    firm ``f`` on its list that chooses ``w`` from ``w`` beside everyone
+    ``f`` holds or may still get, the workers placed later that list
+    ``f``.  Every completion leaves ``f`` a subset of that menu, from
+    which a substitutable ``f`` still chooses ``w``, so ``(w, f)`` would
+    block it: the branches below ``f``, staying unmatched among them, are
+    cut.  A firm that fails substitutability, or is too large for the
+    check, keeps every option and cuts no branch.  The candidate cap
+    bounds the placements tried: a node charges its worker's options plus
+    staying unmatched, cut or not.
     """
     k = len(market.workers)
     n = len(market.firms)
@@ -131,6 +140,14 @@ def enumerate_stable(
         for cf in cfs
     ]
     movable = [w for w in range(k) if options[w]]
+    # later[i][f]: the workers placed after depth i that list f
+    later = [[0] * n]
+    for w in reversed(movable[1:]):
+        row = later[-1][:]
+        for f in options[w]:
+            row[f] |= bit(w)
+        later.append(row)
+    later.reverse()
     held = [0] * n
     assignment: list[int | None] = [None] * k
     found = []
@@ -147,8 +164,15 @@ def enumerate_stable(
         tried += 1 + len(options[w])
         if tried > caps.max_candidates:
             require_candidates(tried, caps)
-        place(i + 1)
-        for f in options[w]:
+        reach = later[i]
+        listed = options[w]
+        for j, f in enumerate(listed):
+            if screened[f] and cfs[f].choose(held[f] | reach[f] | bit(w)) >> w & 1:
+                listed = listed[: j + 1]
+                break
+        else:
+            place(i + 1)
+        for f in listed:
             grown = held[f] | bit(w)
             if screened[f] and cfs[f].choose(grown) != grown:
                 continue

@@ -281,19 +281,19 @@ class TestEnumerate:
     def test_candidate_cap_bounds_the_pruned_product(
         self, capsys, monkeypatch, tmp_path, sparse_market
     ):
-        # 15 search nodes over the one firm each worker accepts, each
-        # charging that firm and staying unmatched: 30 placements tried
+        # 4 search nodes over the one firm each worker accepts, each
+        # charging that firm and staying unmatched: 8 placements tried
         path = write_market(tmp_path / "sparse.json", sparse_market)
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "30")
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "8")
         code, out, _ = run_cli(capsys, "enumerate", path, "--concept", "stable")
         assert code == 0
         assert json.loads(out)["count"] == 1
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "29")
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "7")
         code, out, err = run_cli(capsys, "enumerate", path, "--concept", "stable")
         assert (code, out) == (4, "")
         assert json.loads(err) == {
-            "error": "30 placements tried exceed enumeration cap 29; the search "
-            "stopped there, so 30 is a lower bound on the placements it needs"
+            "error": "8 placements tried exceed enumeration cap 7; the search "
+            "stopped there, so 8 is a lower bound on the placements it needs"
         }
 
     def test_stable_set_contents(self, capsys):

@@ -21,6 +21,7 @@ from matchdecomp import (
     OneToOneMatching,
     StabilityReport,
     build_associated_market,
+    canonicalize,
     check_classical_stable,
     check_copy_stable,
     check_stable,
@@ -91,14 +92,15 @@ class TestManyToOne:
             check_stable(reference_market, ManyToOneMatching((None,), 2))
 
     def test_candidate_cap(self, reference_market):
-        # 34 search nodes, each charging its worker's two firms and staying
-        # unmatched: the cap stops the search once 102 placements are passed
-        caps = Caps(max_workers=16, max_orders=5040, max_candidates=102)
+        # 11 search nodes, each charging its worker's two firms and staying
+        # unmatched, cut or not: the cap stops the search once 33 placements
+        # are passed
+        caps = Caps(max_workers=16, max_orders=5040, max_candidates=33)
         assert enumerate_stable(reference_market, caps) == enumerate_stable(
             reference_market
         )
-        with pytest.raises(CapExceededError, match="^102 placements tried exceed"):
-            enumerate_stable(reference_market, Caps(max_candidates=101))
+        with pytest.raises(CapExceededError, match="^33 placements tried exceed"):
+            enumerate_stable(reference_market, Caps(max_candidates=32))
         with pytest.raises(CapExceededError, match="^12 placements tried exceed"):
             enumerate_stable(reference_market, Caps(max_candidates=10))
 
@@ -541,6 +543,58 @@ class TestPruning:
             market = with_first_firm(market, table)
         assert enumerate_stable(market) == full_scan_stable(market)
 
+    def test_reference_firm_level_leaf_checks(self, reference_market, monkeypatch):
+        # a worker that a substitutable firm it prefers would take from
+        # every menu it can still hold is placed there or above: of the 49
+        # complete assignments the individual-rationality cut leaves, only
+        # the 4 stable matchings reach the leaf checker
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check_stable(*args)
+
+        monkeypatch.setattr(stability, "check_stable", counted)
+        assert len(enumerate_stable(reference_market)) == 4
+        assert calls == 4
+
+    def test_firm_level_mixed_firm_kinds_agree(self):
+        # each firm is its generated union of orders, that union as an
+        # explicit table, or an arbitrary table, which as a rule is not
+        # substitutable, so that the cut fires through both kinds and must
+        # keep away from the firms it does not screen
+        kinds = Counter()
+        sizes = Counter()
+        for seed in range(48):
+            rng = random.Random(seed)
+            k = 3 + seed % 4
+            market = random_market(
+                GenParams(
+                    workers=k, firms=2 + seed % 2, max_orders=3, density=1.0, seed=seed
+                )
+            )
+            firms = []
+            for cf in market.choice_functions:
+                kind = rng.choice(("orders", "canonical", "arbitrary"))
+                if kind == "canonical":
+                    cf = canonicalize(cf)
+                elif kind == "arbitrary":
+                    cf = ChoiceFunction.from_table(
+                        [rng.randrange(1 << k) & menu for menu in range(1 << k)], k
+                    )
+                    kind += "-substitutable" * check_substitutability(cf).passed
+                kinds[kind] += 1
+                firms.append(cf)
+            market = ManyToOneMarket(
+                market.workers, market.firms, tuple(firms), market.worker_prefs
+            )
+            found = enumerate_stable(market)
+            assert found == full_scan_stable(market)
+            sizes[len(found)] += 1
+        assert min(kinds[kind] for kind in ("orders", "canonical", "arbitrary")) >= 20
+        assert sum(n for size, n in sizes.items() if size >= 2) >= 5, sizes
+
     def test_complementary_firm_keeps_its_pair(self):
         # C({a, b}) = {a, b} but C({a}) = C({b}) = {}: the firm would not
         # keep a alone, yet it keeps a beside b, so the substitutable-firm
@@ -612,13 +666,15 @@ class TestPruning:
             assert found == full_scan_classical_stable(assoc)
 
     def test_firm_level_cap_bounds_the_pruned_product(self, sparse_market):
-        # 15 nodes over the one firm each worker accepts, 2 placements each;
-        # the firm-level search counts its cut placements too
+        # 4 nodes over the one firm each worker accepts, 2 placements each;
+        # a, b and c are each the best their firm could hold, so only the
+        # branch onto that firm is searched, but the firm-level search
+        # counts its cut placements too
         found = enumerate_stable(sparse_market)
         assert found == full_scan_stable(sparse_market)
-        assert enumerate_stable(sparse_market, Caps(max_candidates=30)) == found
-        with pytest.raises(CapExceededError, match="^30 placements tried"):
-            enumerate_stable(sparse_market, Caps(max_candidates=29))
+        assert enumerate_stable(sparse_market, Caps(max_candidates=8)) == found
+        with pytest.raises(CapExceededError, match="^8 placements tried"):
+            enumerate_stable(sparse_market, Caps(max_candidates=7))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
