@@ -9,7 +9,9 @@ violation the way ``jsonschema.validate`` does.
 
 Subsets are written as lists of worker labels in worker order; orders as
 lists of labels best first; tables as ``[menu, chosen]`` pairs covering
-every menu exactly once, in ascending menu order.  An optional
+every menu exactly once, in ascending menu order.  Each label is resolved
+with one dict lookup: a subset's mask is the sum of its labels' bits, and a
+repeated label shows as a mask with fewer set bits than labels.  An optional
 ``copy_indexing`` section pins the copy numbering of a firm's
 decomposition; it must list exactly the orders the decomposition
 produces, and is rejected otherwise.
@@ -24,8 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 
-from .bitsets import labels_of, mask_of
+from .bitsets import labels_of
 from .caps import DEFAULT_CAPS, Caps
 from .choices import (
     ORDERS,
@@ -49,6 +52,11 @@ _TOP_REQUIRED = frozenset(["workers", "firms", "worker_prefs"])
 _TOP_ALLOWED = _TOP_REQUIRED | {"copy_indexing"}
 _FIRM_KEYS = frozenset(["id", "choice"])
 _CHOICE_KEYS = frozenset(["kind", "payload"])
+# the structural pass compares a list's set of types (or lengths) with these;
+# built once, as a set display per call costs more than a short list's check
+_STR = frozenset([str])
+_LIST = frozenset([list])
+_PAIR = frozenset([2])
 
 
 def market_schema() -> dict:
@@ -65,44 +73,52 @@ class MarketDocument:
 
 
 def _order_from_labels(labels, index: dict[str, int], context: str) -> LinearOrder:
-    ranking = []
-    for label in labels:
-        if label not in index:
-            raise MarketValidationError(f"unknown worker {label!r} in {context}")
-        ranking.append(index[label])
-    return LinearOrder(tuple(ranking))
+    try:
+        ranking = tuple(map(index.__getitem__, labels))
+    except KeyError as exc:
+        label = exc.args[0]
+        raise MarketValidationError(f"unknown worker {label!r} in {context}") from None
+    return LinearOrder(ranking)
 
 
-def _mask_from_labels(labels, index: dict[str, int], context: str) -> int:
-    out = []
-    for label in labels:
-        if label not in index:
-            raise MarketValidationError(f"unknown worker {label!r} in {context}")
-        out.append(index[label])
-    if len(set(out)) != len(out):
+def _mask_from_labels(labels, bits: dict[str, int], context: str) -> int:
+    """The mask of ``labels``, where ``bits`` maps each label to its bit.
+
+    A repeated label carries into a higher bit, so the sum has fewer set
+    bits than there are labels exactly when some label repeats.
+    """
+    try:
+        mask = sum(map(bits.__getitem__, labels))
+    except KeyError as exc:
+        label = exc.args[0]
+        raise MarketValidationError(f"unknown worker {label!r} in {context}") from None
+    if mask.bit_count() != len(labels):
         raise MarketValidationError(f"repeated worker in {context}")
-    return mask_of(out)
+    return mask
 
 
 def _parse_choice(spec: dict, widx: dict[str, int], firm: str) -> ChoiceFunction:
     kind = spec["kind"]
     payload = spec["payload"]
     k = len(widx)
-    if kind == SUBSET_RANKING:
-        masks = [
-            _mask_from_labels(entry, widx, f"subset ranking of {firm}")
-            for entry in payload
-        ]
-        return ChoiceFunction.from_subset_ranking(masks, k)
     if kind == ORDERS:
         orders = [
             _order_from_labels(entry, widx, f"orders of {firm}") for entry in payload
         ]
         return ChoiceFunction.from_orders(orders, k)
+    wbits = {label: 1 << i for label, i in widx.items()}
+    if kind == SUBSET_RANKING:
+        masks = [
+            _mask_from_labels(entry, wbits, f"subset ranking of {firm}")
+            for entry in payload
+        ]
+        return ChoiceFunction.from_subset_ranking(masks, k)
     entries: dict[int, int] = {}
-    for pair in payload:
-        menu = _mask_from_labels(pair[0], widx, f"table menu of {firm}")
-        chosen = _mask_from_labels(pair[1], widx, f"table value of {firm}")
+    menu_context = f"table menu of {firm}"
+    value_context = f"table value of {firm}"
+    for menu_labels, chosen_labels in payload:
+        menu = _mask_from_labels(menu_labels, wbits, menu_context)
+        chosen = _mask_from_labels(chosen_labels, wbits, value_context)
         if menu in entries:
             raise MarketValidationError(f"table of {firm} lists a menu twice")
         entries[menu] = chosen
@@ -116,18 +132,28 @@ def _parse_choice(spec: dict, widx: dict[str, int], firm: str) -> ChoiceFunction
 
 
 def _labels(value) -> bool:
-    return type(value) is list and all(type(label) is str for label in value)
+    return type(value) is list and set(map(type, value)) <= _STR
+
+
+def _label_lists(value) -> bool:
+    """Whether ``value`` is a list of lists of strings."""
+    return (
+        type(value) is list
+        and set(map(type, value)) <= _LIST
+        and set(map(type, chain.from_iterable(value))) <= _STR
+    )
 
 
 def _payload_well_formed(kind: str, payload: list) -> bool:
     if kind == TABLE:
-        return all(
-            type(pair) is list and len(pair) == 2 and _labels(pair[0]) and _labels(pair[1])
-            for pair in payload
+        return (
+            set(map(type, payload)) <= _LIST
+            and set(map(len, payload)) <= _PAIR
+            and _label_lists(list(chain.from_iterable(payload)))
         )
     if kind == SUBSET_RANKING:
-        return all(_labels(entry) and entry for entry in payload)
-    return all(_labels(entry) for entry in payload)
+        return _label_lists(payload) and all(payload)
+    return _label_lists(payload)
 
 
 def _firm_well_formed(firm) -> bool:
@@ -169,8 +195,7 @@ def _well_formed(data) -> bool:
         return False
     indexing = data.get("copy_indexing", {})
     return type(indexing) is dict and all(
-        type(orders) is list and orders and all(_labels(o) for o in orders)
-        for orders in indexing.values()
+        _label_lists(orders) and orders for orders in indexing.values()
     )
 
 
@@ -212,16 +237,16 @@ def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
     missing = set(workers) - set(prefs_in)
     if missing:
         raise MarketValidationError(f"worker_prefs missing for {sorted(missing)}")
+    firm_of = fidx.__getitem__
     worker_prefs = []
     for label in workers:
-        prefs = []
-        for firm in prefs_in[label]:
-            if firm not in fidx:
-                raise MarketValidationError(
-                    f"unknown firm {firm!r} in preferences of {label}"
-                )
-            prefs.append(fidx[firm])
-        worker_prefs.append(tuple(prefs))
+        try:
+            worker_prefs.append(tuple(map(firm_of, prefs_in[label])))
+        except KeyError as exc:
+            firm = exc.args[0]
+            raise MarketValidationError(
+                f"unknown firm {firm!r} in preferences of {label}"
+            ) from None
 
     market = ManyToOneMarket(workers, tuple(firm_labels), tuple(cfs), tuple(worker_prefs))
 

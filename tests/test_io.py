@@ -33,9 +33,10 @@ from matchdecomp import (
     render_stability_report,
     serialize_market,
 )
-from matchdecomp.io import _well_formed
+from matchdecomp.bitsets import mask_of
+from matchdecomp.io import _mask_from_labels, _well_formed
 
-from conftest import REFERENCE_PATH, TABLE_CONS_FAIL, m1
+from conftest import REFERENCE_PATH, TABLE_CONS_FAIL, m1, with_first_firm
 
 
 def reference_data():
@@ -72,6 +73,17 @@ class TestParse:
         again = parse_market(serialize_market(market))
         assert again.market == market
         assert again.market.choice_functions[0].kind == "table"
+        # tables shaped like the wide-menus benchmark's: a generated market
+        # with its first firm written out over all 2^k menus
+        for seed, k in ((1, 8), (2, 9), (3, 10)):
+            market = random_market(
+                GenParams(workers=k, firms=2, max_orders=2, density=1.0, seed=seed)
+            )
+            table = canonicalize(market.choice_functions[0])
+            doc = MarketDocument(with_first_firm(market, table))
+            again = parse_market(json.loads(dump_market(doc)))
+            assert again.market.choice_functions[0].table == table.table
+            assert again.market == doc.market
 
     def test_orders_kind_round_trips(self):
         cf = ChoiceFunction.from_orders((LinearOrder((1, 0)), LinearOrder((0,))), 2)
@@ -138,6 +150,143 @@ class TestParse:
         path.write_text("[1, 2]")
         with pytest.raises(MarketValidationError):
             load_market(str(path))
+
+
+def loop_mask_from_labels(labels, index: dict[str, int], context: str) -> int:
+    """The label-by-label loop the dict-lookup parse replaced; its oracle."""
+    out = []
+    for label in labels:
+        if label not in index:
+            raise MarketValidationError(f"unknown worker {label!r} in {context}")
+        out.append(index[label])
+    if len(set(out)) != len(out):
+        raise MarketValidationError(f"repeated worker in {context}")
+    return mask_of(out)
+
+
+def _outcome(resolve, labels, table: dict[str, int]):
+    try:
+        return "mask", resolve(labels, table, "ctx")
+    except MarketValidationError as exc:
+        return "error", str(exc)
+
+
+# two workers and one table firm; the full table is C(S) = S
+_FULL_TABLE = [
+    [[], []],
+    [["w1"], ["w1"]],
+    [["w2"], ["w2"]],
+    [["w1", "w2"], ["w1", "w2"]],
+]
+
+
+def _one_firm_document(payload, kind: str = "table") -> dict:
+    return {
+        "workers": ["w1", "w2"],
+        "firms": [{"id": "A", "choice": {"kind": kind, "payload": payload}}],
+        "worker_prefs": {"w1": ["A"], "w2": []},
+    }
+
+
+def _with_pairs(pairs: dict) -> list:
+    """The full table with the pairs at the given positions replaced."""
+    payload = json.loads(json.dumps(_FULL_TABLE))
+    for index, pair in pairs.items():
+        payload[index] = pair
+    return payload
+
+
+def _reference_with(mutate) -> dict:
+    data = reference_data()
+    mutate(data)
+    return data
+
+
+class TestLabelLookup:
+    def test_masks_and_errors_match_the_label_loop(self):
+        class Label(str):
+            pass
+
+        workers = [f"w{i}" for i in range(6)]
+        index = {w: i for i, w in enumerate(workers)}
+        bits = {w: 1 << i for i, w in enumerate(workers)}
+        pool = workers + ["zz", "", "W1"] + [Label(w) for w in ("w0", "w3", "zz")]
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(20_000):
+            labels = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+            expected = _outcome(loop_mask_from_labels, labels, index)
+            assert _outcome(_mask_from_labels, labels, bits) == expected, labels
+            seen.add("mask" if expected[0] == "mask" else expected[1].split()[0])
+        assert seen == {"mask", "unknown", "repeated"}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # an unknown label is found before an earlier repeat counts
+            (
+                _one_firm_document(_with_pairs({3: [["w1", "w1", "zz"], []]})),
+                "unknown worker 'zz' in table menu of A",
+            ),
+            # the first bad pair in file order wins
+            (
+                _one_firm_document(
+                    _with_pairs({1: [["w1"], ["w1", "w1"]], 3: [["yy"], []]})
+                ),
+                "repeated worker in table value of A",
+            ),
+            # within a pair, the menu is read before the value
+            (
+                _one_firm_document(_with_pairs({2: [["w2", "w2"], ["zz"]]})),
+                "repeated worker in table menu of A",
+            ),
+            (
+                _one_firm_document(_with_pairs({0: [["w2", "w1"], ["w1"]]})),
+                "table of A lists a menu twice",
+            ),
+            (_one_firm_document(_FULL_TABLE[1:]), "table of A covers 3 of 4 menus"),
+            (
+                _one_firm_document([["w2"], ["w1", "zz"]], "orders"),
+                "unknown worker 'zz' in orders of A",
+            ),
+            (
+                _reference_with(
+                    lambda d: d["firms"][0]["choice"]["payload"][0].append("zz")
+                ),
+                "unknown worker 'zz' in subset ranking of f1",
+            ),
+            (
+                _reference_with(
+                    lambda d: d["firms"][0]["choice"]["payload"][0].append("w1")
+                ),
+                "repeated worker in subset ranking of f1",
+            ),
+            (
+                _reference_with(lambda d: d["copy_indexing"]["f2"][0].insert(1, "zz")),
+                "unknown worker 'zz' in copy_indexing of f2",
+            ),
+            (
+                _reference_with(lambda d: d["worker_prefs"]["w3"].append("f9")),
+                "unknown firm 'f9' in preferences of w3",
+            ),
+        ],
+        ids=[
+            "unknown-after-repeat",
+            "first-pair-wins",
+            "menu-before-value",
+            "menu-twice",
+            "coverage",
+            "orders-unknown",
+            "ranking-unknown",
+            "ranking-repeat",
+            "indexing-unknown",
+            "prefs-unknown",
+        ],
+    )
+    def test_parse_errors_read_exactly(self, data, message):
+        with pytest.raises(MarketValidationError) as caught:
+            parse_market(data)
+        assert str(caught.value) == message
 
 
 # a mutation picks one node of the document: a dict value, a list item or,
