@@ -25,11 +25,13 @@ class Caps:
     max_orders: largest number of distinct linear orders a single firm's
         decomposition may produce.
     max_candidates: largest number of placements a matching enumerator
-        may try.  Each search node charges every partner it considers for
-        its worker, whether a cut removes it or not, plus staying
-        unmatched; the classical enumerator, which does not search,
-        charges each proposal of Gale-Shapley and break-marriage instead.
-        The count is deterministic, since the order of work is fixed.
+        may try.  Each search node charges every firm it considers for its
+        worker, whether a cut removes it or not, plus staying unmatched:
+        the firms the worker accepts in the firm-level search, the firms
+        with a copy that ranks it in the copy-stable search.  The
+        classical enumerator, which does not search, charges each
+        proposal of Gale-Shapley and break-marriage instead.  The count
+        is deterministic, since the order of work is fixed.
     """
 
     max_workers: int = 16

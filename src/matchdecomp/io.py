@@ -78,7 +78,11 @@ def _order_from_labels(labels, index: dict[str, int], context: str) -> LinearOrd
     except KeyError as exc:
         label = exc.args[0]
         raise MarketValidationError(f"unknown worker {label!r} in {context}") from None
-    return LinearOrder(ranking)
+    try:
+        return LinearOrder(ranking)
+    except MarketValidationError:
+        # indices of known labels fail the order's checks only by repeating
+        raise MarketValidationError(f"repeated worker in {context}") from None
 
 
 def _mask_from_labels(labels, bits: dict[str, int], context: str) -> int:
@@ -112,7 +116,14 @@ def _parse_choice(spec: dict, widx: dict[str, int], firm: str) -> ChoiceFunction
             _mask_from_labels(entry, wbits, f"subset ranking of {firm}")
             for entry in payload
         ]
-        return ChoiceFunction.from_subset_ranking(masks, k)
+        try:
+            return ChoiceFunction.from_subset_ranking(masks, k)
+        except MarketValidationError:
+            # masks of nonempty known labels fail the ranking's checks only
+            # by repeating
+            raise MarketValidationError(
+                f"subset ranking of {firm} lists a subset twice"
+            ) from None
     entries: dict[int, int] = {}
     menu_context = f"table menu of {firm}"
     value_context = f"table value of {firm}"

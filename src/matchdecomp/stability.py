@@ -25,19 +25,21 @@ Checkers return the first violation in a fixed scan order (cases in the
 order listed in each docstring; agents by ascending index; pairs
 lexicographic), so witnesses are deterministic.  Enumerators return
 results sorted by the worker-side assignment tuple.  The stable and
-copy-stable enumerators place workers depth first in index order, cut
-branches that no completion can make stable, and filter every complete
-assignment with the matching checker.  The cuts: a worker is offered only
-partners that individual rationality allows; at the firm level a
-substitutable firm takes a worker only while it would keep everyone it
-then holds, and a worker goes no lower than the first substitutable firm
-on its list that would take it from every menu the firm can still hold;
-and on the copy market no copy may envy a settled sibling's
-worker, and a copy-worker pair that blocks is cut once its verdict is
-final.  Such a pair blocks when the worker prefers the copy to its
-partner and no copy of the firm holds a worker the copy ranks higher.
-Only a worker that can still land on the firm could shield the pair, so
-the verdict is final once the worker and every such worker are placed.
+copy-stable enumerators place workers on firms depth first in index
+order, cut branches that no completion can make stable, and filter every
+complete assignment with the matching checker.  At the firm level a
+worker is offered the firms it finds acceptable, a substitutable firm
+takes a worker only while it would keep everyone it then holds, and a
+worker goes no lower than the first substitutable firm on its list that
+would take it from every menu the firm can still hold.  The copy-stable
+search reads the copies alone, never the firms' choice functions, so it
+stays independent of the firm-level search.  A worker is offered the
+firms with a copy that ranks it.  A firm takes a worker only while
+everyone it then holds is the pick of one of its copies, and a worker
+goes no lower than the first firm with a copy that would pick it from
+every menu the firm can still hold.  A complete placement fixes the copy
+matching, since every held worker must sit on the first copy of its firm
+whose pick it is.
 The classical set needs no search: the copy market is then a textbook
 one-to-one market, whose stable set is listed from the worker-optimal
 Gale-Shapley matching by break-marriage.
@@ -53,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .association import OneToOneMarket
-from .bitsets import bit
+from .bitsets import bit, iter_indices
 from .caps import DEFAULT_CAPS, Caps, require_candidates
 from .choices import ORDERS
 from .errors import CapExceededError, DeferredAcceptanceError, MarketValidationError
@@ -111,6 +113,18 @@ def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> Stabil
     return StabilityReport(True)
 
 
+def _later(movable: list[int], options, n: int) -> list[list[int]]:
+    """``later[i][f]``: the workers of ``movable`` after position ``i`` that list ``f``."""
+    later = [[0] * n]
+    for w in reversed(movable[1:]):
+        row = later[-1][:]
+        for f in options[w]:
+            row[f] |= bit(w)
+        later.append(row)
+    later.reverse()
+    return later
+
+
 def enumerate_stable(
     market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[ManyToOneMatching]:
@@ -140,14 +154,7 @@ def enumerate_stable(
         for cf in cfs
     ]
     movable = [w for w in range(k) if options[w]]
-    # later[i][f]: the workers placed after depth i that list f
-    later = [[0] * n]
-    for w in reversed(movable[1:]):
-        row = later[-1][:]
-        for f in options[w]:
-            row[f] |= bit(w)
-        later.append(row)
-    later.reverse()
+    later = _later(movable, options, n)
     held = [0] * n
     assignment: list[int | None] = [None] * k
     found = []
@@ -185,8 +192,7 @@ def enumerate_stable(
     try:
         place(0)
     except RecursionError:
-        # one frame per worker placed; the copy level never gets this deep,
-        # as its decomposition caps the worker count first
+        # one frame per worker placed
         raise CapExceededError(
             f"search depth of {len(movable)} workers exceeds the interpreter's "
             "recursion limit"
@@ -291,73 +297,6 @@ def check_classical_stable(
     return _check_one_to_one(assoc, matching, tuple(range(len(assoc.copies))))
 
 
-def _envy_cut(assoc: OneToOneMarket):
-    """Cut ``w`` on ``c`` when ``c`` and a settled sibling envy each other's worker."""
-    crank = assoc.copy_rank
-    firm_of = assoc.firm_of_copy
-
-    def cut(assignment: list[int | None], w: int, c: int | None) -> bool:
-        if c is None:
-            return False
-        row = crank[c]
-        mine = row[w]
-        firm = firm_of[c]
-        for other_w in range(w):
-            other_c = assignment[other_w]
-            if (
-                other_c is not None
-                and firm_of[other_c] == firm
-                and (row[other_w] < mine or crank[other_c][w] < crank[other_c][other_w])
-            ):
-                return True
-        return False
-
-    return cut
-
-
-def _settled_pair_cut(assoc: OneToOneMarket, options):
-    """Cut a partial assignment once a pair whose verdict is final blocks.
-
-    A copy ``c`` and a worker ``w`` it ranks block when ``w`` prefers ``c``
-    to its partner and no copy of ``c``'s firm holds a worker ``c`` ranks
-    above ``w``.  Only a worker that can land on the firm shields the
-    pair, so its verdict is final once ``w`` and every such worker are
-    placed: ``final[d]`` lists the pairs that settle when worker ``d`` is
-    placed.
-    """
-    k = len(options)
-    wrank = assoc.worker_rank
-    wempty = assoc.worker_empty_rank
-    crank = assoc.copy_rank
-    firm_of = assoc.firm_of_copy
-    reach = [{firm_of[c] for c in opts if c is not None} for opts in options]
-    final = [[] for _ in range(k)]
-    for w, opts in enumerate(options):
-        for c in opts:
-            if c is None:
-                continue
-            row = crank[c]
-            firm = firm_of[c]
-            shielders = tuple(
-                v for v in range(k) if row[v] < row[w] and firm in reach[v]
-            )
-            final[max((w, *shielders))].append((w, wrank[w][c], firm, shielders))
-
-    def cut(assignment: list[int | None], d: int) -> bool:
-        for w, rank_c, firm, shielders in final[d]:
-            current = assignment[w]
-            if rank_c >= (wempty[w] if current is None else wrank[w][current]):
-                continue
-            if not any(
-                assignment[v] is not None and firm_of[assignment[v]] == firm
-                for v in shielders
-            ):
-                return True
-        return False
-
-    return cut
-
-
 def _mutual_lists(assoc: OneToOneMarket) -> list[tuple[int, ...]]:
     """Each worker's lifted copies that rank it, in the worker's order."""
     crank = assoc.copy_rank
@@ -373,40 +312,81 @@ def enumerate_copy_stable(
 ) -> list[OneToOneMatching]:
     """Every copy-stable matching of the associated market.
 
-    The copy-level search; the cap charges each node its worker's options.
+    A depth-first search places each worker on a firm or leaves it
+    unmatched; the copies then follow from copy stability alone, so the
+    search shares nothing with :func:`enumerate_stable`.  A worker is
+    offered, in its order, the firms with a copy that ranks it.  A firm
+    takes a worker only while every worker it then holds is the pick of
+    one of its copies: a copy holding another worker would envy a
+    sibling, and a worker that no copy picks from a set is picked from no
+    superset of it.  A worker ``w`` also goes no lower than the first firm
+    ``f`` with a copy that picks ``w`` from ``w`` beside everyone ``f``
+    holds or may still get, the workers placed later that list ``f``:
+    that copy and ``w`` would pair-block every completion that puts ``w``
+    below ``f`` or leaves it unmatched.  A complete placement fixes the
+    copy matching: each worker sits on the first copy of its firm whose
+    pick it is, since an earlier such copy would pair-block, and every
+    other copy stays empty.  Each such matching must pass
+    :func:`check_copy_stable`.  The candidate cap bounds the placements
+    tried: a node charges its worker's firms plus staying unmatched, cut
+    or not.
     """
-    k = len(assoc.source.workers)
-    n_copies = len(assoc.copies)
-    options = [(None, *mutual) for mutual in _mutual_lists(assoc)]
-    envy = _envy_cut(assoc)
-    settled = _settled_pair_cut(assoc, options)
+    source = assoc.source
+    k = len(source.workers)
+    n = len(source.firms)
+    orders = assoc.copy_orders
+    groups = assoc.copies_by_firm
+    # guards[w][f]: for each copy of f that ranks w, the workers it ranks
+    # above w; the copy picks w from a menu holding w that misses them all
+    guards = [[set() for _ in range(n)] for _ in range(k)]
+    for order, f in zip(orders, assoc.firm_of_copy):
+        above = 0
+        for w in order.ranking:
+            guards[w][f].add(above)
+            above |= bit(w)
 
+    def picked(w: int, f: int, menu: int) -> bool:
+        return any(not menu & above for above in guards[w][f])
+
+    options = [
+        tuple(f for f in prefs if guards[w][f])
+        for w, prefs in enumerate(source.worker_prefs)
+    ]
+    movable = [w for w in range(k) if options[w]]
+    later = _later(movable, options, n)
     found = []
-    assignment: list[int | None] = [None] * k
     tried = 0
-
-    def place(w: int, used: int) -> None:
-        nonlocal tried
-        if w == k:
-            candidate = OneToOneMatching(tuple(assignment), n_copies)
+    # each entry is a depth and every firm's held workers
+    pending = [(0, (0,) * n)]
+    while pending:
+        i, held = pending.pop()
+        if i == len(movable):
+            by_worker: list[int | None] = [None] * k
+            for f, mask in enumerate(held):
+                for c in groups[f]:
+                    best = orders[c].best_in(mask)
+                    if best is not None and by_worker[best] is None:
+                        by_worker[best] = c
+            candidate = OneToOneMatching(tuple(by_worker), len(orders))
             if check_copy_stable(assoc, candidate).stable:
                 found.append(candidate)
-            return
-        tried += len(options[w])
+            continue
+        w = movable[i]
+        tried += 1 + len(options[w])
         if tried > caps.max_candidates:
             require_candidates(tried, caps)
-        for c in options[w]:
-            if c is not None and used >> c & 1:
-                continue
-            if envy(assignment, w, c):
-                continue
-            assignment[w] = c
-            if settled(assignment, w):
-                continue
-            place(w + 1, used if c is None else used | 1 << c)
-        assignment[w] = None
-
-    place(0, 0)
+        reach = later[i]
+        listed = options[w]
+        for j, f in enumerate(listed):
+            if picked(w, f, held[f] | reach[f] | bit(w)):
+                listed = listed[: j + 1]
+                break
+        else:
+            pending.append((i + 1, held))
+        for f in listed:
+            grown = held[f] | bit(w)
+            if all(picked(v, f, grown) for v in iter_indices(grown)):
+                pending.append((i + 1, (*held[:f], grown, *held[f + 1 :])))
     found.sort(key=lambda m: m.key)
     return found
 

@@ -591,7 +591,7 @@ class TestCaps:
     def test_candidate_cap_counts_work_not_the_product(self, capsys, tmp_path, gen, argv):
         # the products of the options, 4,551,750,000 for the first market's
         # copy-stable search and 29,491,200 for the second, are far past the
-        # default cap; the searches try 5,163 and 141 placements
+        # default cap; the searches try 113 and 141 placements
         path = str(tmp_path / "m.json")
         assert run_cli(capsys, "gen", *gen, "--seed", "2", "--out", path)[0] == 0
         code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
@@ -615,28 +615,43 @@ class TestCaps:
         assert json.loads(out)["count"] == 1
 
     def test_a_stopped_search_reports_a_lower_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "100")
+        # each node of the reference search charges 3 placements
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "20")
         code, out, err = run_cli(
             capsys, "enumerate", REFERENCE_PATH, "--concept", "copy-stable"
         )
         assert (code, out) == (4, "")
         assert json.loads(err) == {
-            "error": "104 placements tried exceed enumeration cap 100; the search "
-            "stopped there, so 104 is a lower bound on the placements it needs"
+            "error": "21 placements tried exceed enumeration cap 20; the search "
+            "stopped there, so 21 is a lower bound on the placements it needs"
         }
 
-    def test_reference_copy_stable_search_tries_533_placements(
+    def test_reference_copy_stable_search_tries_33_placements(
         self, capsys, monkeypatch
     ):
         # a work guard: the cap passes at the measured count, not one below
         argv = ["enumerate", REFERENCE_PATH, "--concept", "copy-stable"]
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "533")
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "33")
         code, out, _ = run_cli(capsys, *argv)
         assert (code, json.loads(out)["count"]) == (0, 4)
-        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "532")
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "32")
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (4, "")
-        assert json.loads(err)["error"].startswith("533 placements tried exceed")
+        assert json.loads(err)["error"].startswith("33 placements tried exceed")
+
+    @pytest.mark.parametrize(
+        "argv", [["enumerate", "--concept", "copy-stable"], ["verify"]]
+    )
+    def test_copy_stable_search_over_490_copies(self, capsys, monkeypatch, tmp_path, argv):
+        # a work guard: branching each worker over the copies it lists tried
+        # millions of placements on this k=8 market; over firms it tries 87
+        path = str(tmp_path / "m.json")
+        gen = ["--workers", "8", "--firms", "3", "--max-orders", "3", "--density", "0.8"]
+        assert run_cli(capsys, "gen", *gen, "--seed", "1", "--out", path)[0] == 0
+        monkeypatch.setenv("MATCHDECOMP_MAX_CANDIDATES", "1000")
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out)
 
 
 class TestParserReuse:

@@ -34,6 +34,7 @@ from matchdecomp import (
     serialize_market,
 )
 from matchdecomp.bitsets import mask_of
+from matchdecomp.cli import main
 from matchdecomp.io import _mask_from_labels, _well_formed
 
 from conftest import REFERENCE_PATH, TABLE_CONS_FAIL, m1, with_first_firm
@@ -266,6 +267,10 @@ class TestLabelLookup:
                 "unknown worker 'zz' in copy_indexing of f2",
             ),
             (
+                _reference_with(lambda d: d["copy_indexing"]["f2"][0].append("w3")),
+                "repeated worker in copy_indexing of f2",
+            ),
+            (
                 _reference_with(lambda d: d["worker_prefs"]["w3"].append("f9")),
                 "unknown firm 'f9' in preferences of w3",
             ),
@@ -280,6 +285,7 @@ class TestLabelLookup:
             "ranking-unknown",
             "ranking-repeat",
             "indexing-unknown",
+            "indexing-repeat",
             "prefs-unknown",
         ],
     )
@@ -287,6 +293,33 @@ class TestLabelLookup:
         with pytest.raises(MarketValidationError) as caught:
             parse_market(data)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d["firms"][0]["choice"]["payload"].append(["w2", "w1"]),
+                "subset ranking of f1 lists a subset twice",
+            ),
+            (
+                lambda d: d["firms"][1]["choice"].update(
+                    kind="orders", payload=[["w1"], ["w2", "w2"]]
+                ),
+                "repeated worker in orders of f2",
+            ),
+        ],
+        ids=["ranking-subset-twice", "orders-repeat"],
+    )
+    def test_repeats_the_constructors_catch_name_the_firm(
+        self, capsys, tmp_path, mutate, message
+    ):
+        # the library constructors name masks and indices; the file reader
+        # names the firm and speaks in labels, and the CLI exits 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_reference_with(mutate)), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, json.loads(err)) == ("", {"error": message})
 
 
 # a mutation picks one node of the document: a dict value, a list item or,

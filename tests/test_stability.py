@@ -12,6 +12,7 @@ from matchdecomp import (
     Caps,
     CapExceededError,
     ChoiceFunction,
+    Decomposition,
     DeferredAcceptanceError,
     GenParams,
     LinearOrder,
@@ -27,6 +28,7 @@ from matchdecomp import (
     check_stable,
     check_substitutability,
     copies_propose,
+    decompose_market,
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
@@ -434,8 +436,8 @@ class TestPruning:
     )
     def test_dense_markets_with_several_matchings_agree(self, seed, firms):
         # k=4 markets picked for a copy-stable set of two or more, so that
-        # the settled-pair cut has matchings to lose; each full scan checks
-        # at most (copies + 1)**4 <= 6561 assignments
+        # the cuts have matchings to lose; each full scan checks at most
+        # (copies + 1)**4 <= 6561 assignments
         market = random_market(
             GenParams(workers=4, firms=firms, max_orders=3, density=1.0, seed=seed)
         )
@@ -461,18 +463,11 @@ class TestPruning:
 
     def test_reference_leaf_checks_stay_few(self, reference_assoc, monkeypatch):
         # the full product holds thousands of complete assignments; the
-        # cuts leave at most a handful for the leaf checker, and every
-        # matching found passed one leaf check
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return check_copy_stable(*args)
-
-        monkeypatch.setattr(stability, "check_copy_stable", counted)
+        # firm placements that survive the cuts are exactly the 4 stable
+        # ones, so each matching found is the only leaf its placement makes
+        calls = count_leaf_checks(monkeypatch)
         assert len(enumerate_copy_stable(reference_assoc)) == 4
-        assert 4 <= calls <= 8
+        assert calls() == 4
 
     def test_reference_classical_search_makes_12_proposals(
         self, reference_assoc, monkeypatch
@@ -512,11 +507,12 @@ class TestPruning:
             enumerate_classical_stable(reference_assoc)
 
     def test_one_to_one_candidate_cap(self, reference_assoc):
-        # a copy-stable node charges its worker's options, staying unmatched
-        # included, cut or not (the full product would be thousands of
-        # assignments); the classical search charges each proposal
+        # a copy-stable node charges its worker's two firms and staying
+        # unmatched, cut or not: 11 nodes (the full product would be
+        # thousands of assignments); the classical search charges each
+        # proposal
         for enumerate_set, tried in (
-            (enumerate_copy_stable, 533),
+            (enumerate_copy_stable, 33),
             (enumerate_classical_stable, 12),
         ):
             found = enumerate_set(reference_assoc)
@@ -675,6 +671,142 @@ class TestPruning:
         assert enumerate_stable(sparse_market, Caps(max_candidates=8)) == found
         with pytest.raises(CapExceededError, match="^8 placements tried"):
             enumerate_stable(sparse_market, Caps(max_candidates=7))
+
+
+def count_leaf_checks(monkeypatch):
+    """Count the copy-stable search's leaf checks; returns the counter."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check_copy_stable(*args)
+
+    monkeypatch.setattr(stability, "check_copy_stable", counted)
+    return lambda: calls
+
+
+def association(market: ManyToOneMarket, family: str, seed: int):
+    """The copy market over the ``all`` family, the given orders, or the
+    ``all`` family with each firm's copy numbers shuffled."""
+    if family == "given":
+        return family_association(market)
+    decomposition = decompose_market(market)
+    if family == "shuffled":
+        rng = random.Random(seed)
+        decomposition = Decomposition(
+            tuple(tuple(rng.sample(orders, len(orders))) for orders in decomposition.per_firm)
+        )
+    return build_associated_market(market, decomposition)
+
+
+def split_image(assoc) -> list[OneToOneMatching]:
+    """The full firm-level scan, carried over to the copies by the bijection."""
+    image = (split_matching(assoc, m) for m in full_scan_stable(assoc.source))
+    return sorted(image, key=lambda m: m.key)
+
+
+def one_firm_market(orders, prefs) -> ManyToOneMarket:
+    """Firm ``A`` as the union of ``orders``; ``prefs`` says who lists it."""
+    k = len(prefs)
+    cf = ChoiceFunction.from_orders(tuple(LinearOrder(o) for o in orders), k)
+    workers = tuple("abcdefgh"[:k])
+    return ManyToOneMarket(workers, ("A",), (cf,), tuple((0,) * p for p in prefs))
+
+
+class TestFirmPlacementSearch:
+    """The copy-stable search over firm placements: oracles and each cut."""
+
+    @pytest.mark.parametrize("family", ["all", "given", "shuffled"])
+    def test_equals_both_full_scans(self, family):
+        # k=3 markets, at most 15 copies, so the copy-level scan is cheap;
+        # the split image of the firm-level scan shares no cut with it
+        sizes = Counter()
+        for seed in range(80):
+            market = random_market(
+                GenParams(workers=3, firms=3, max_orders=1 + seed % 3, seed=seed)
+            )
+            assoc = association(market, family, seed)
+            found = enumerate_copy_stable(assoc)
+            assert found == full_scan_copy_stable(assoc)
+            assert found == split_image(assoc)
+            sizes[len(found)] += 1
+        assert sum(n for size, n in sizes.items() if size >= 2) >= 5, sizes
+
+    @pytest.mark.parametrize("family", ["all", "given", "shuffled"])
+    def test_equals_the_split_image_at_k_4_to_6(self, family):
+        sizes = Counter()
+        for seed in range(60):
+            market = random_market(
+                GenParams(
+                    workers=4 + seed % 3, firms=2 + seed % 2, max_orders=3,
+                    density=1.0, seed=seed,
+                )
+            )
+            assoc = association(market, family, seed)
+            found = enumerate_copy_stable(assoc)
+            assert found == split_image(assoc)
+            sizes[len(found)] += 1
+        assert sum(n for size, n in sizes.items() if size >= 2) >= 5, sizes
+
+    def test_pick_cut_drops_a_held_worker_no_copy_picks(self, monkeypatch):
+        # A's one copy ranks b over a.  Once a sits on A, b must take A
+        # too, as the copy would pick b from everything A can still hold;
+        # A then holds a, whom no copy picks, so that branch dies before
+        # its leaf.  Nodes: a (2 placements), then b once per branch of a.
+        market = one_firm_market([(1, 0)], [1, 1])
+        assoc = family_association(market)
+        calls = count_leaf_checks(monkeypatch)
+        found = enumerate_copy_stable(assoc, Caps(max_candidates=6))
+        assert [copy_sets(assoc, m) for m in found] == [{"A.1": "b"}]
+        assert calls() == 1
+        assert found == full_scan_copy_stable(assoc)
+
+    def test_must_take_cut_removes_staying_unmatched(self, monkeypatch):
+        # a lists A then B, and A's copy ranks a first: (A.1, a) would
+        # block every completion that puts a on B or leaves it unmatched,
+        # so one branch of the three reaches a leaf
+        cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 1)
+        market = ManyToOneMarket(("a",), ("A", "B"), (cf, cf), ((0, 1),))
+        assoc = family_association(market)
+        calls = count_leaf_checks(monkeypatch)
+        found = enumerate_copy_stable(assoc, Caps(max_candidates=3))
+        assert [copy_sets(assoc, m) for m in found] == [{"A.1": "a"}]
+        assert calls() == 1
+        assert found == full_scan_copy_stable(assoc)
+
+    def test_leaf_seats_a_worker_on_the_first_copy_it_is_the_pick_of(self):
+        # both copies of A pick a from {a}; parked on A.2 while A.1 sits
+        # empty, a would rather move up, which is a pair-block
+        market = one_firm_market([(1, 0), (0, 1)], [1, 0])
+        assoc = family_association(market)
+        found = enumerate_copy_stable(assoc)
+        assert [copy_sets(assoc, m) for m in found] == [{"A.1": "a"}]
+        assert found == full_scan_copy_stable(assoc)
+        report = check_copy_stable(assoc, m11(assoc, {"A.2": "a"}))
+        assert report == StabilityReport(False, PAIR_BLOCK, {"copy": 0, "worker": 0})
+
+    def test_worker_with_no_mutual_copy_is_never_placed(self):
+        # b lists A, whose one copy does not rank it, and c lists nothing:
+        # neither is a search node, so a's node alone charges A and
+        # staying unmatched
+        market = one_firm_market([(0,)], [1, 1, 0])
+        assoc = family_association(market)
+        found = enumerate_copy_stable(assoc, Caps(max_candidates=2))
+        assert [m.by_worker for m in found] == [(0, None, None)]
+        assert found == full_scan_copy_stable(assoc)
+        with pytest.raises(CapExceededError, match="^2 placements tried exceed"):
+            enumerate_copy_stable(assoc, Caps(max_candidates=1))
+
+    def test_a_stopped_search_reports_a_lower_bound(self, reference_assoc):
+        # depth first, the reference search has charged 21 placements,
+        # 3 a node, when it first passes 20
+        with pytest.raises(
+            CapExceededError,
+            match="^21 placements tried exceed enumeration cap 20; the search "
+            "stopped there, so 21 is a lower bound",
+        ):
+            enumerate_copy_stable(reference_assoc, Caps(max_candidates=20))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
