@@ -207,6 +207,16 @@ class ChoiceFunction:
         return _pairwise_path_independence(self)
 
 
+def known_substitutable(cf: ChoiceFunction, caps: Caps) -> bool:
+    """Whether a search may cut on ``cf`` as substitutable under ``caps``.
+
+    ``orders`` functions always qualify; any other is scanned once, and
+    only when its universe fits ``caps.max_workers``, else it does not.
+    """
+    fits = cf.kind == ORDERS or cf.universe_size <= caps.max_workers
+    return fits and cf._substitutable
+
+
 def canonicalize(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> ChoiceFunction:
     """Return an equivalent explicit-table choice function."""
     require_universe(cf.universe_size, caps)

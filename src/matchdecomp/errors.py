@@ -18,8 +18,8 @@ class AxiomViolationError(MarketError):
 
 
 class CapExceededError(MarketError):
-    """A resource cap was hit: universe size, order count, placements a
-    search tried, or a search deeper than the interpreter's recursion limit."""
+    """A resource cap was hit: universe size, order count, or placements a
+    search tried."""
 
 
 class DeferredAcceptanceError(MarketError, RuntimeError):

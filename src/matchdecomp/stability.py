@@ -25,21 +25,16 @@ Checkers return the first violation in a fixed scan order (cases in the
 order listed in each docstring; agents by ascending index; pairs
 lexicographic), so witnesses are deterministic.  Enumerators return
 results sorted by the worker-side assignment tuple.  The stable and
-copy-stable enumerators place workers on firms depth first in index
-order, cut branches that no completion can make stable, and filter every
-complete assignment with the matching checker.  At the firm level a
-worker is offered the firms it finds acceptable, a substitutable firm
-takes a worker only while it would keep everyone it then holds, and a
-worker goes no lower than the first substitutable firm on its list that
-would take it from every menu the firm can still hold.  The copy-stable
-search reads the copies alone, never the firms' choice functions, so it
-stays independent of the firm-level search.  A worker is offered the
-firms with a copy that ranks it.  A firm takes a worker only while
-everyone it then holds is the pick of one of its copies, and a worker
-goes no lower than the first firm with a copy that would pick it from
-every menu the firm can still hold.  A complete placement fixes the copy
-matching, since every held worker must sit on the first copy of its firm
-whose pick it is.
+copy-stable enumerators share one depth-first search on an explicit
+stack.  It places each worker with an option, in index order, first
+unmatched and then on its firms in its order.  A firm takes a worker
+only while it may hold the set it then holds, and a worker goes no lower
+than the first firm that must take it from every menu the firm can still
+hold.  The firm-level search decides those two tests on the choice
+functions.  The copy-stable search decides them on the copies alone, so
+its verdicts stay independent of the firm level, and a complete
+placement fixes the copy matching.  Every complete placement is filtered
+with the matching checker.
 The classical set needs no search: the copy market is then a textbook
 one-to-one market, whose stable set is listed from the worker-optimal
 Gale-Shapley matching by break-marriage.
@@ -57,8 +52,8 @@ from dataclasses import dataclass
 from .association import OneToOneMarket
 from .bitsets import bit, iter_indices
 from .caps import DEFAULT_CAPS, Caps, require_candidates
-from .choices import ORDERS
-from .errors import CapExceededError, DeferredAcceptanceError, MarketValidationError
+from .choices import known_substitutable
+from .errors import DeferredAcceptanceError, MarketValidationError
 from .markets import ManyToOneMarket
 from .matchings import ManyToOneMatching, OneToOneMatching
 
@@ -113,8 +108,22 @@ def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> Stabil
     return StabilityReport(True)
 
 
-def _later(movable: list[int], options, n: int) -> list[list[int]]:
-    """``later[i][f]``: the workers of ``movable`` after position ``i`` that list ``f``."""
+def _placements(options, n: int, caps: Caps, must_take, may_hold):
+    """Yield each placement the cuts leave, as every firm's held workers.
+
+    Worker ``w`` is placed on one of the firms ``options[w]`` or left
+    unmatched, depth first over the workers with an option in index
+    order, on an explicit stack.  A node tries staying unmatched first,
+    then the firms in ``w``'s order; a firm ``f`` takes ``w`` only when
+    ``may_hold(f, grown)`` allows the set it would then hold.  ``w`` goes
+    no lower than the first ``f`` with ``must_take(f, w, menu)``, the menu
+    being ``w`` beside everyone ``f`` holds or may still get, the workers
+    placed later that list ``f``: the branches below ``f``, staying
+    unmatched among them, are cut.  Each node charges the candidate cap
+    with its worker's options plus staying unmatched, cut or not.
+    """
+    movable = [w for w, listed in enumerate(options) if listed]
+    # later[i][f]: the workers of movable after position i that list f
     later = [[0] * n]
     for w in reversed(movable[1:]):
         row = later[-1][:]
@@ -122,81 +131,80 @@ def _later(movable: list[int], options, n: int) -> list[list[int]]:
             row[f] |= bit(w)
         later.append(row)
     later.reverse()
-    return later
+    depth = len(movable)
+    tried = 0
+    # each entry is a depth and every firm's held workers
+    pending = [(0, (0,) * n)]
+    while pending:
+        i, held = pending.pop()
+        if i == depth:
+            yield held
+            continue
+        w = movable[i]
+        listed = options[w]
+        tried += 1 + len(listed)
+        if tried > caps.max_candidates:
+            require_candidates(tried, caps)
+        own = 1 << w
+        reach = later[i]
+        stays = True
+        for j, f in enumerate(listed):
+            if must_take(f, w, held[f] | reach[f] | own):
+                listed, stays = listed[: j + 1], False
+                break
+        # pushed in reverse, so popped in visit order
+        for f in reversed(listed):
+            grown = held[f] | own
+            if may_hold(f, grown):
+                pending.append((i + 1, (*held[:f], grown, *held[f + 1 :])))
+        if stays:
+            pending.append((i + 1, held))
 
 
 def enumerate_stable(
     market: ManyToOneMarket, caps: Caps = DEFAULT_CAPS
 ) -> list[ManyToOneMatching]:
-    """Every stable matching, by a depth-first search over workers.
+    """Every stable matching, by a depth-first placement search.
 
-    Each worker is offered only the firms it finds acceptable, and a
-    substitutable firm takes a worker only while it would keep everyone
+    Each worker with an acceptable firm, in index order, first stays
+    unmatched and then tries the firms it finds acceptable, in its order.
+    A substitutable firm takes a worker only while it would keep everyone
     it then holds: a set such a firm would not keep has no superset it
     keeps.  A worker ``w`` also goes no lower than the first substitutable
     firm ``f`` on its list that chooses ``w`` from ``w`` beside everyone
-    ``f`` holds or may still get, the workers placed later that list
-    ``f``.  Every completion leaves ``f`` a subset of that menu, from
-    which a substitutable ``f`` still chooses ``w``, so ``(w, f)`` would
-    block it: the branches below ``f``, staying unmatched among them, are
-    cut.  A firm that fails substitutability, or is too large for the
-    check, keeps every option and cuts no branch.  The candidate cap
+    ``f`` holds or may still get.  Every completion leaves ``f`` a subset
+    of that menu, from which a substitutable ``f`` still chooses ``w``, so
+    ``(w, f)`` would block it.  A firm that fails substitutability, or is
+    too large for the check, keeps every option and cuts no branch.  Each
+    complete placement must pass :func:`check_stable`.  The candidate cap
     bounds the placements tried: a node charges its worker's options plus
     staying unmatched, cut or not.
     """
     k = len(market.workers)
     n = len(market.firms)
-    cfs = market.choice_functions
-    options = market.worker_prefs
-    screened = [
-        (cf.kind == ORDERS or cf.universe_size <= caps.max_workers)
-        and cf._substitutable
-        for cf in cfs
+    # the choose of each firm the search may cut on, else None
+    chooses = [
+        cf.choose if known_substitutable(cf, caps) else None
+        for cf in market.choice_functions
     ]
-    movable = [w for w in range(k) if options[w]]
-    later = _later(movable, options, n)
-    held = [0] * n
-    assignment: list[int | None] = [None] * k
+
+    def must_take(f: int, w: int, menu: int) -> bool:
+        choose = chooses[f]
+        return choose is not None and choose(menu) >> w & 1
+
+    def may_hold(f: int, grown: int) -> bool:
+        choose = chooses[f]
+        return choose is None or choose(grown) == grown
+
     found = []
-    tried = 0
-
-    def place(i: int) -> None:
-        nonlocal tried
-        if i == len(movable):
-            candidate = ManyToOneMatching(tuple(assignment), n)
-            if check_stable(market, candidate).stable:
-                found.append(candidate)
-            return
-        w = movable[i]
-        tried += 1 + len(options[w])
-        if tried > caps.max_candidates:
-            require_candidates(tried, caps)
-        reach = later[i]
-        listed = options[w]
-        for j, f in enumerate(listed):
-            if screened[f] and cfs[f].choose(held[f] | reach[f] | bit(w)) >> w & 1:
-                listed = listed[: j + 1]
-                break
-        else:
-            place(i + 1)
-        for f in listed:
-            grown = held[f] | bit(w)
-            if screened[f] and cfs[f].choose(grown) != grown:
-                continue
-            held[f] = grown
-            assignment[w] = f
-            place(i + 1)
-            held[f] = grown ^ bit(w)
-        assignment[w] = None
-
-    try:
-        place(0)
-    except RecursionError:
-        # one frame per worker placed
-        raise CapExceededError(
-            f"search depth of {len(movable)} workers exceeds the interpreter's "
-            "recursion limit"
-        ) from None
+    for held in _placements(market.worker_prefs, n, caps, must_take, may_hold):
+        by_worker: list[int | None] = [None] * k
+        for f, mask in enumerate(held):
+            for w in iter_indices(mask):
+                by_worker[w] = f
+        candidate = ManyToOneMatching(tuple(by_worker), n)
+        if check_stable(market, candidate).stable:
+            found.append(candidate)
     found.sort(key=lambda m: m.key)
     return found
 
@@ -312,21 +320,21 @@ def enumerate_copy_stable(
 ) -> list[OneToOneMatching]:
     """Every copy-stable matching of the associated market.
 
-    A depth-first search places each worker on a firm or leaves it
-    unmatched; the copies then follow from copy stability alone, so the
-    search shares nothing with :func:`enumerate_stable`.  A worker is
-    offered, in its order, the firms with a copy that ranks it.  A firm
-    takes a worker only while every worker it then holds is the pick of
-    one of its copies: a copy holding another worker would envy a
-    sibling, and a worker that no copy picks from a set is picked from no
-    superset of it.  A worker ``w`` also goes no lower than the first firm
-    ``f`` with a copy that picks ``w`` from ``w`` beside everyone ``f``
-    holds or may still get, the workers placed later that list ``f``:
-    that copy and ``w`` would pair-block every completion that puts ``w``
-    below ``f`` or leaves it unmatched.  A complete placement fixes the
-    copy matching: each worker sits on the first copy of its firm whose
-    pick it is, since an earlier such copy would pair-block, and every
-    other copy stays empty.  Each such matching must pass
+    The placement search of :func:`enumerate_stable` places each worker
+    on a firm or leaves it unmatched, in the same visit order; the copies
+    then follow from copy stability alone, so the tests it searches with
+    read the copies, never the choice functions.  A worker is offered, in
+    its order, the firms with a copy that ranks it.  A firm takes a worker
+    only while every worker it then holds is the pick of one of its
+    copies: a copy holding another worker would envy a sibling, and a
+    worker that no copy picks from a set is picked from no superset of
+    it.  A worker ``w`` also goes no lower than the first firm ``f`` with
+    a copy that picks ``w`` from ``w`` beside everyone ``f`` holds or may
+    still get: that copy and ``w`` would pair-block every completion that
+    puts ``w`` below ``f`` or leaves it unmatched.  A complete placement
+    fixes the copy matching: each worker sits on the first copy of its
+    firm whose pick it is, since an earlier such copy would pair-block,
+    and every other copy stays empty.  Each such matching must pass
     :func:`check_copy_stable`.  The candidate cap bounds the placements
     tried: a node charges its worker's firms plus staying unmatched, cut
     or not.
@@ -345,48 +353,28 @@ def enumerate_copy_stable(
             guards[w][f].add(above)
             above |= bit(w)
 
-    def picked(w: int, f: int, menu: int) -> bool:
+    def picked(f: int, w: int, menu: int) -> bool:
         return any(not menu & above for above in guards[w][f])
 
     options = [
         tuple(f for f in prefs if guards[w][f])
         for w, prefs in enumerate(source.worker_prefs)
     ]
-    movable = [w for w in range(k) if options[w]]
-    later = _later(movable, options, n)
+
+    def may_hold(f: int, grown: int) -> bool:
+        return all(picked(f, v, grown) for v in iter_indices(grown))
+
     found = []
-    tried = 0
-    # each entry is a depth and every firm's held workers
-    pending = [(0, (0,) * n)]
-    while pending:
-        i, held = pending.pop()
-        if i == len(movable):
-            by_worker: list[int | None] = [None] * k
-            for f, mask in enumerate(held):
-                for c in groups[f]:
-                    best = orders[c].best_in(mask)
-                    if best is not None and by_worker[best] is None:
-                        by_worker[best] = c
-            candidate = OneToOneMatching(tuple(by_worker), len(orders))
-            if check_copy_stable(assoc, candidate).stable:
-                found.append(candidate)
-            continue
-        w = movable[i]
-        tried += 1 + len(options[w])
-        if tried > caps.max_candidates:
-            require_candidates(tried, caps)
-        reach = later[i]
-        listed = options[w]
-        for j, f in enumerate(listed):
-            if picked(w, f, held[f] | reach[f] | bit(w)):
-                listed = listed[: j + 1]
-                break
-        else:
-            pending.append((i + 1, held))
-        for f in listed:
-            grown = held[f] | bit(w)
-            if all(picked(v, f, grown) for v in iter_indices(grown)):
-                pending.append((i + 1, (*held[:f], grown, *held[f + 1 :])))
+    for held in _placements(options, n, caps, picked, may_hold):
+        by_worker: list[int | None] = [None] * k
+        for f, mask in enumerate(held):
+            for c in groups[f]:
+                best = orders[c].best_in(mask)
+                if best is not None and by_worker[best] is None:
+                    by_worker[best] = c
+        candidate = OneToOneMatching(tuple(by_worker), len(orders))
+        if check_copy_stable(assoc, candidate).stable:
+            found.append(candidate)
     found.sort(key=lambda m: m.key)
     return found
 

@@ -21,7 +21,11 @@ from matchdecomp import (
     replay_witness,
 )
 from matchdecomp.bitsets import bit, iter_indices
-from matchdecomp.choices import AxiomReport, _pairwise_path_independence
+from matchdecomp.choices import (
+    AxiomReport,
+    _pairwise_path_independence,
+    known_substitutable,
+)
 
 from conftest import TABLE_BOTH_FAIL, TABLE_CONS_FAIL, TABLE_SUBST_FAIL
 
@@ -301,6 +305,20 @@ class TestAxioms:
         assert check_path_independence(cf) is first
         with pytest.raises(CapExceededError):
             check_path_independence(cf, Caps(max_workers=2))
+
+    def test_a_search_cuts_on_a_firm_only_when_its_verdict_is_known(self):
+        # an orders firm qualifies past the cap; a table only within it, and
+        # only when it is substitutable; past the cap no table is scanned
+        orders = ChoiceFunction.from_orders((LinearOrder((2, 0)),), 3)
+        substitutable = ChoiceFunction.from_table(TABLE_CONS_FAIL, 2)
+        not_substitutable = ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)
+        small = Caps(max_workers=1)
+        assert known_substitutable(orders, small)
+        for cf in (substitutable, not_substitutable):
+            assert not known_substitutable(cf, small)
+            assert "_substitutable" not in vars(cf)
+        assert known_substitutable(substitutable, Caps())
+        assert not known_substitutable(not_substitutable, Caps())
 
     def test_orders_firm_universe_cap_enforced(self):
         caps = Caps(max_workers=2, max_orders=10, max_candidates=100)

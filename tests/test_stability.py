@@ -106,14 +106,16 @@ class TestManyToOne:
         with pytest.raises(CapExceededError, match="^12 placements tried exceed"):
             enumerate_stable(reference_market, Caps(max_candidates=10))
 
-    def test_search_too_deep_for_the_interpreter_is_a_cap_error(self):
-        # no product bound refuses this market up front, and depth first the
-        # search places one worker per frame
+    def test_a_thousand_workers_deep_search_finds_the_one_matching(self):
+        # 1,048 of the 1,200 workers list a firm: the search places one per
+        # level, on its own stack rather than the interpreter's
         market = random_market(
             GenParams(workers=1200, firms=3, max_orders=1, density=0.5, seed=2)
         )
-        with pytest.raises(CapExceededError, match="recursion limit"):
-            enumerate_stable(market)
+        assert sum(1 for prefs in market.worker_prefs if prefs) == 1048
+        found = enumerate_stable(market)
+        assert len(found) == 1
+        assert check_stable(market, found[0]).stable
 
 
 class TestCopyStable:
@@ -519,6 +521,53 @@ class TestPruning:
             assert enumerate_set(reference_assoc, Caps(max_candidates=tried)) == found
             with pytest.raises(CapExceededError, match="is a lower bound"):
                 enumerate_set(reference_assoc, Caps(max_candidates=tried - 1))
+
+    @pytest.mark.parametrize(
+        "market_name, concept, stops",
+        [
+            # 11 nodes of 3 placements each
+            ("reference", "stable", [3 * (cap // 3 + 1) for cap in range(1, 33)]),
+            ("reference", "copy-stable", [3 * (cap // 3 + 1) for cap in range(1, 33)]),
+            # 4 nodes of 2 placements each
+            ("sparse", "stable", [2, 4, 4, 6, 6, 8, 8]),
+            ("sparse", "copy-stable", [2, 4, 4, 6, 6, 8, 8]),
+            # workers with 1 to 3 options: a node visited out of order would
+            # move the stops
+            ("k5", "stable", [3, 3, 6, 6, 6, 10, 10, 10, 10, 13, 13, 13, 15, 15,
+                              18, 18, 18, 22, 22, 22, 22, 25, 25, 25, 27, 27, 31,
+                              31, 31, 31]),
+            ("k5", "copy-stable", [3, 3, 6, 6, 6, 10, 10, 10, 10, 13, 13, 13, 16,
+                                   16, 16, 20, 20, 20, 20, 23, 23, 23, 27, 27, 27,
+                                   27]),
+        ],
+    )
+    def test_every_cap_stops_where_it_did(
+        self, reference_doc, sparse_market, market_name, concept, stops
+    ):
+        # the placements charged when each cap from 1 up stops the search,
+        # which visits staying unmatched first, then the firms in the
+        # worker's order; a cap of the full count lets it finish
+        market, copy_indexing = {
+            "reference": (reference_doc.market, reference_doc.copy_indexing),
+            "sparse": (sparse_market, None),
+            "k5": (
+                random_market(
+                    GenParams(workers=5, firms=3, max_orders=2, density=0.6, seed=4)
+                ),
+                None,
+            ),
+        }[market_name]
+        if concept == "stable":
+            search = enumerate_stable
+        else:
+            search = enumerate_copy_stable
+            market = build_associated_market(
+                market, decompose_market(market, copy_indexing)
+            )
+        for cap, stop in enumerate(stops, start=1):
+            with pytest.raises(CapExceededError, match=f"^{stop} placements tried"):
+                search(market, Caps(max_candidates=cap))
+        assert search(market, Caps(max_candidates=len(stops) + 1)) == search(market)
 
     def test_reference_firm_level_pruned_equals_unpruned(self, reference_market):
         assert enumerate_stable(reference_market) == full_scan_stable(reference_market)
