@@ -7,7 +7,13 @@ exhaustive verification of the correspondence between the stable sets of
 the two market forms.
 """
 
-from .association import FirmCopy, OneToOneMarket, build_associated_market
+from .association import (
+    FirmCopy,
+    OneToOneMarket,
+    build_associated_market,
+    merge_matching,
+    split_matching,
+)
 from .caps import DEFAULT_CAPS, Caps, caps_from_env
 from .choices import (
     AxiomReport,
@@ -24,8 +30,6 @@ from .correspondence import (
     CorrespondenceReport,
     CountInvarianceReport,
     check_count_invariance,
-    merge_matching,
-    split_matching,
     verify_correspondence,
 )
 from .da import DaStage, DaTrace, copies_propose, trace_json_lines, workers_propose
@@ -54,7 +58,6 @@ from .io import (
     market_schema,
     parse_market,
     render_axiom_report,
-    render_stability_report,
     serialize_market,
 )
 from .markets import ManyToOneMarket
@@ -67,6 +70,7 @@ from .stability import (
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
+    render_stability_report,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,16 @@ are lifted to copies under two structural rules:
 Copies of firms a worker finds unacceptable do not appear in the lifted
 list at all.  Copies and lifted lists are derived from the decomposition
 alone, so both rules hold by construction.
+
+The two maps between the market forms live here too.  ``merge_matching``
+collapses a one-to-one matching of the copies into a many-to-one matching:
+each firm hires the union of what its copies hold.  ``split_matching`` goes
+the other way: every worker a firm hires is handed to the lowest-numbered
+copy whose order ranks that worker highest within the hired set; remaining
+copies stay empty.  Splitting only works when each firm would actually
+choose its hired set, otherwise some hired worker is nobody's maximum and
+a FirmRationalityError is raised.  The copy-stable enumerator lists each
+copy-stable matching as the split image of a firm placement.
 """
 
 from __future__ import annotations
@@ -18,11 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bitsets import iter_indices
 from .caps import DEFAULT_CAPS, Caps
 from .choices import LinearOrder
 from .decomposition import Decomposition, decompose_market, verify_decomposition
-from .errors import DecompositionMismatchError, MarketValidationError
+from .errors import (
+    DecompositionMismatchError,
+    FirmRationalityError,
+    MarketValidationError,
+)
 from .markets import ManyToOneMarket
+from .matchings import ManyToOneMatching, OneToOneMatching
 
 
 @dataclass(frozen=True)
@@ -151,3 +167,47 @@ def build_associated_market(
                 f"choice function (witness {report.witness})"
             )
     return assoc
+
+
+def merge_matching(
+    assoc: OneToOneMarket, matching: OneToOneMatching
+) -> ManyToOneMatching:
+    """Union each firm's copy assignments into one many-to-one matching."""
+    if matching.copy_count != len(assoc.copies):
+        raise MarketValidationError("matching covers a different copy count")
+    firm_of = assoc.firm_of_copy
+    by_worker = tuple(
+        None if c is None else firm_of[c] for c in matching.by_worker
+    )
+    return ManyToOneMatching(by_worker, len(assoc.source.firms))
+
+
+def split_matching(
+    assoc: OneToOneMarket, matching: ManyToOneMatching
+) -> OneToOneMatching:
+    """Distribute each firm's hired set over its copies.
+
+    Worker ``w`` goes to the lowest-numbered copy whose order picks ``w``
+    as its best worker within the firm's hired set.
+    """
+    source = assoc.source
+    if matching.firm_count != len(source.firms):
+        raise MarketValidationError("matching covers a different firm count")
+    if len(matching.by_worker) != len(source.workers):
+        raise MarketValidationError("matching covers a different worker count")
+    orders = assoc.copy_orders
+    by_worker: list[int | None] = [None] * len(source.workers)
+    for f, hired in enumerate(matching.firm_masks):
+        if hired == 0:
+            continue
+        for c in assoc.copies_by_firm[f]:
+            best = orders[c].best_in(hired)
+            if best is not None and by_worker[best] is None:
+                by_worker[best] = c
+        for w in iter_indices(hired):
+            if by_worker[w] is None:
+                raise FirmRationalityError(
+                    f"firm {source.firms[f]} would not choose its assigned set: "
+                    f"no copy's best pick is {source.workers[w]}"
+                )
+    return OneToOneMatching(tuple(by_worker), len(assoc.copies))

@@ -36,13 +36,7 @@ from .choices import check_lad, check_path_independence
 from .correspondence import check_count_invariance, verify_correspondence
 from .da import copies_propose, trace_json_lines, workers_propose
 from .decomposition import decompose_market
-from .errors import (
-    AxiomViolationError,
-    CapExceededError,
-    DeferredAcceptanceError,
-    MarketError,
-    MarketValidationError,
-)
+from .errors import MarketError, MarketValidationError
 from .generator import GenParams, random_market
 from .io import (
     MarketDocument,
@@ -50,13 +44,14 @@ from .io import (
     load_market,
     read_json,
     render_axiom_report,
-    render_stability_report,
 )
+from .matchings import ManyToOneMatching
 from .stability import (
     check_stable,
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
+    render_stability_report,
 )
 
 _CONCEPTS = {
@@ -207,8 +202,6 @@ def _cmd_check(args, caps) -> int:
         raise MarketValidationError(
             "matching file must hold an object mapping firm ids to lists of worker ids"
         )
-    from .matchings import ManyToOneMatching
-
     matching = ManyToOneMatching.from_firm_sets(doc.market, data)
     report = check_stable(doc.market, matching)
     _emit(render_stability_report(report, doc.market.workers, doc.market.firms))
@@ -319,17 +312,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args, caps_from_env())
-    except CapExceededError as exc:
+    except MarketError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 4
-    except AxiomViolationError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except DeferredAcceptanceError as exc:
-        # a MarketError too, so it must be caught before the clause below
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 3
-    except (MarketError, json.JSONDecodeError, OSError) as exc:
+        return exc.exit_code
+    except (json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -1,12 +1,7 @@
-"""Moving matchings between the two market forms, and what that preserves.
+"""What moving matchings between the two market forms preserves.
 
-``merge_matching`` collapses a one-to-one matching of the copies into a
-many-to-one matching: each firm hires the union of what its copies hold.
-``split_matching`` goes the other way: every worker a firm hires is handed
-to the lowest-numbered copy whose order ranks that worker highest within
-the hired set; remaining copies stay empty.  Splitting only works when
-each firm would actually choose its hired set, otherwise some hired worker
-is nobody's maximum and a FirmRationalityError is raised.
+The maps themselves, ``merge_matching`` and ``split_matching``, live in
+:mod:`matchdecomp.association` beside the copy market they read.
 
 ``verify_correspondence`` checks, by exhaustive enumeration, that the two
 translations are mutually inverse bijections between the copy-stable
@@ -25,59 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .association import OneToOneMarket
-from .bitsets import iter_indices
+from .association import OneToOneMarket, merge_matching, split_matching
 from .caps import DEFAULT_CAPS, Caps
 from .choices import check_lad
-from .errors import FirmRationalityError, MarketValidationError
-from .markets import ManyToOneMarket
+from .errors import FirmRationalityError
 from .matchings import ManyToOneMatching, OneToOneMatching
 from .stability import enumerate_copy_stable, enumerate_stable
-
-
-def merge_matching(
-    assoc: OneToOneMarket, matching: OneToOneMatching
-) -> ManyToOneMatching:
-    """Union each firm's copy assignments into one many-to-one matching."""
-    if matching.copy_count != len(assoc.copies):
-        raise MarketValidationError("matching covers a different copy count")
-    firm_of = assoc.firm_of_copy
-    by_worker = tuple(
-        None if c is None else firm_of[c] for c in matching.by_worker
-    )
-    return ManyToOneMatching(by_worker, len(assoc.source.firms))
-
-
-def split_matching(
-    assoc: OneToOneMarket, matching: ManyToOneMatching
-) -> OneToOneMatching:
-    """Distribute each firm's hired set over its copies.
-
-    Worker ``w`` goes to the lowest-numbered copy whose order picks ``w``
-    as its best worker within the firm's hired set.
-    """
-    source = assoc.source
-    if matching.firm_count != len(source.firms):
-        raise MarketValidationError("matching covers a different firm count")
-    if len(matching.by_worker) != len(source.workers):
-        raise MarketValidationError("matching covers a different worker count")
-    by_worker: list[int | None] = [None] * len(source.workers)
-    for f, hired in enumerate(matching.firm_masks):
-        if hired == 0:
-            continue
-        taken: dict[int, int] = {}
-        for c in assoc.copies_by_firm[f]:
-            best = assoc.copy_orders[c].best_in(hired)
-            if best is not None and best not in taken:
-                taken[best] = c
-        for w in iter_indices(hired):
-            if w not in taken:
-                raise FirmRationalityError(
-                    f"firm {source.firms[f]} would not choose its assigned set: "
-                    f"no copy's best pick is {source.workers[w]}"
-                )
-            by_worker[w] = taken[w]
-    return OneToOneMatching(tuple(by_worker), len(assoc.copies))
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,8 @@ from functools import cached_property
 from .association import OneToOneMarket
 from .bitsets import bit, iter_indices
 from .errors import DeferredAcceptanceError
-from .io import render_stability_report
 from .matchings import OneToOneMatching
-from .stability import check_copy_stable
+from .stability import check_copy_stable, require_stable
 
 COPIES = "copies"
 WORKERS = "workers"
@@ -92,18 +91,6 @@ class DaStage:
 class DaTrace:
     proposing: str
     stages: tuple[DaStage, ...]
-
-
-def _assert_copy_stable(assoc: OneToOneMarket, matching: OneToOneMatching) -> None:
-    report = check_copy_stable(assoc, matching)
-    if not report.stable:
-        witness = render_stability_report(
-            report, assoc.source.workers, copy_labels=assoc.copy_labels
-        )["witness"]
-        raise DeferredAcceptanceError(
-            f"deferred acceptance produced an unstable matching: "
-            f"{report.case} witness {witness}"
-        )
 
 
 def copies_propose(
@@ -186,7 +173,7 @@ def copies_propose(
         pool = sorted(set(rejected) | set(pending))
 
     result = stages[-1].matching
-    _assert_copy_stable(assoc, result)
+    require_stable(check_copy_stable(assoc, result), assoc, "deferred acceptance")
     return result, DaTrace(COPIES, tuple(stages))
 
 
@@ -293,7 +280,7 @@ def workers_propose(
         pool = sorted(set(rejected))
 
     result = stages[-1].matching
-    _assert_copy_stable(assoc, result)
+    require_stable(check_copy_stable(assoc, result), assoc, "deferred acceptance")
     return result, DaTrace(WORKERS, tuple(stages))
 
 

@@ -2,7 +2,10 @@
 
 
 class MarketError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``exit_code`` is
+    the CLI's exit status for it."""
+
+    exit_code = 1
 
 
 class MarketValidationError(MarketError):
@@ -11,6 +14,8 @@ class MarketValidationError(MarketError):
 
 class AxiomViolationError(MarketError):
     """An operation required a choice-function axiom that does not hold."""
+
+    exit_code = 2
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
@@ -21,12 +26,16 @@ class CapExceededError(MarketError):
     """A resource cap was hit: universe size, order count, or placements a
     search tried."""
 
+    exit_code = 4
+
 
 class DeferredAcceptanceError(MarketError, RuntimeError):
     """Deferred acceptance ended on a matching that is not copy-stable, or
     ran past its stage bound, or break-marriage listed a matching that is
     not classically stable.  Also a ``RuntimeError``, so callers that
     catch ``RuntimeError`` keep catching it."""
+
+    exit_code = 3
 
 
 class DecompositionMismatchError(MarketValidationError):

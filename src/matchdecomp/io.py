@@ -41,7 +41,6 @@ from .choices import (
 from .decomposition import decompose
 from .errors import MarketValidationError
 from .markets import ManyToOneMarket
-from .stability import StabilityReport
 
 _MASK_KEYS = frozenset(
     ["menu", "submenu", "first", "second", "smaller", "larger", "expected", "actual"]
@@ -342,26 +341,4 @@ def render_axiom_report(report: AxiomReport, workers: tuple[str, ...]) -> dict:
             key: labels_of(value, workers) if key in _MASK_KEYS else workers[value]
             for key, value in report.witness.items()
         }
-    return out
-
-
-def render_stability_report(
-    report: StabilityReport,
-    workers: tuple[str, ...],
-    firms: tuple[str, ...] = (),
-    copy_labels: tuple[str, ...] = (),
-) -> dict:
-    out: dict = {"stable": report.stable}
-    if report.case is not None:
-        out["case"] = report.case
-    if report.witness is not None:
-        rendered = {}
-        for key, value in report.witness.items():
-            if key == "worker":
-                rendered[key] = workers[value]
-            elif key == "firm":
-                rendered[key] = firms[value]
-            else:  # "copy" and "envied_copy"
-                rendered[key] = copy_labels[value]
-        out["witness"] = rendered
     return out

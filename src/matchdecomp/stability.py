@@ -31,10 +31,9 @@ unmatched and then on its firms in its order.  A firm takes a worker
 only while it may hold the set it then holds, and a worker goes no lower
 than the first firm that must take it from every menu the firm can still
 hold.  The firm-level search decides those two tests on the choice
-functions.  The copy-stable search decides them on the copies alone, so
-its verdicts stay independent of the firm level, and a complete
-placement fixes the copy matching.  Every complete placement is filtered
-with the matching checker.
+functions and checks each complete placement.  The copy-stable search
+decides them on the copies alone, so its verdicts stay independent of
+the firm level, and checks each complete placement's split image.
 The classical set needs no search: the copy market is then a textbook
 one-to-one market, whose stable set is listed from the worker-optimal
 Gale-Shapley matching by break-marriage.
@@ -49,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .association import OneToOneMarket
+from .association import OneToOneMarket, split_matching
 from .bitsets import bit, iter_indices
 from .caps import DEFAULT_CAPS, Caps, require_candidates
 from .choices import known_substitutable
@@ -73,6 +72,40 @@ class StabilityReport:
 
     def __bool__(self) -> bool:
         return self.stable
+
+
+def render_stability_report(
+    report: StabilityReport,
+    workers: tuple[str, ...],
+    firms: tuple[str, ...] = (),
+    copy_labels: tuple[str, ...] = (),
+) -> dict:
+    """The report as JSON-ready data, its witness named by labels."""
+    out: dict = {"stable": report.stable}
+    if report.case is not None:
+        out["case"] = report.case
+    if report.witness is not None:
+        names = {"worker": workers, "firm": firms}
+        out["witness"] = {
+            key: names.get(key, copy_labels)[value]  # else "copy", "envied_copy"
+            for key, value in report.witness.items()
+        }
+    return out
+
+
+def require_stable(
+    report: StabilityReport, assoc: OneToOneMarket, producer: str
+) -> None:
+    """Raise :class:`DeferredAcceptanceError`, naming ``producer`` and the
+    witness by labels, unless the copy-market ``report`` is stable."""
+    if not report.stable:
+        witness = render_stability_report(
+            report, assoc.source.workers, copy_labels=assoc.copy_labels
+        )["witness"]
+        raise DeferredAcceptanceError(
+            f"{producer} produced an unstable matching: {report.case} "
+            f"witness {witness}"
+        )
 
 
 def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> StabilityReport:
@@ -109,7 +142,7 @@ def check_stable(market: ManyToOneMarket, matching: ManyToOneMatching) -> Stabil
 
 
 def _placements(options, n: int, caps: Caps, must_take, may_hold):
-    """Yield each placement the cuts leave, as every firm's held workers.
+    """Yield each placement the cuts leave, as a many-to-one matching.
 
     Worker ``w`` is placed on one of the firms ``options[w]`` or left
     unmatched, depth first over the workers with an option in index
@@ -122,6 +155,7 @@ def _placements(options, n: int, caps: Caps, must_take, may_hold):
     unmatched among them, are cut.  Each node charges the candidate cap
     with its worker's options plus staying unmatched, cut or not.
     """
+    k = len(options)
     movable = [w for w, listed in enumerate(options) if listed]
     # later[i][f]: the workers of movable after position i that list f
     later = [[0] * n]
@@ -138,7 +172,11 @@ def _placements(options, n: int, caps: Caps, must_take, may_hold):
     while pending:
         i, held = pending.pop()
         if i == depth:
-            yield held
+            by_worker: list[int | None] = [None] * k
+            for f, mask in enumerate(held):
+                for v in iter_indices(mask):
+                    by_worker[v] = f
+            yield ManyToOneMatching(tuple(by_worker), n)
             continue
         w = movable[i]
         listed = options[w]
@@ -180,7 +218,6 @@ def enumerate_stable(
     bounds the placements tried: a node charges its worker's options plus
     staying unmatched, cut or not.
     """
-    k = len(market.workers)
     n = len(market.firms)
     # the choose of each firm the search may cut on, else None
     chooses = [
@@ -196,15 +233,8 @@ def enumerate_stable(
         choose = chooses[f]
         return choose is None or choose(grown) == grown
 
-    found = []
-    for held in _placements(market.worker_prefs, n, caps, must_take, may_hold):
-        by_worker: list[int | None] = [None] * k
-        for f, mask in enumerate(held):
-            for w in iter_indices(mask):
-                by_worker[w] = f
-        candidate = ManyToOneMatching(tuple(by_worker), n)
-        if check_stable(market, candidate).stable:
-            found.append(candidate)
+    placements = _placements(market.worker_prefs, n, caps, must_take, may_hold)
+    found = [m for m in placements if check_stable(market, m).stable]
     found.sort(key=lambda m: m.key)
     return found
 
@@ -332,22 +362,21 @@ def enumerate_copy_stable(
     a copy that picks ``w`` from ``w`` beside everyone ``f`` holds or may
     still get: that copy and ``w`` would pair-block every completion that
     puts ``w`` below ``f`` or leaves it unmatched.  A complete placement
-    fixes the copy matching: each worker sits on the first copy of its
-    firm whose pick it is, since an earlier such copy would pair-block,
-    and every other copy stays empty.  Each such matching must pass
-    :func:`check_copy_stable`.  The candidate cap bounds the placements
-    tried: a node charges its worker's firms plus staying unmatched, cut
-    or not.
+    fixes the copy matching, its :func:`split_matching` image: each worker
+    sits on the first copy of its firm whose pick it is, since an earlier
+    such copy would pair-block, and every other copy stays empty.  The
+    firm test above makes every held worker a pick, so the split never
+    fails.  Each split image must pass :func:`check_copy_stable`.  The
+    candidate cap bounds the placements tried: a node charges its worker's
+    firms plus staying unmatched, cut or not.
     """
     source = assoc.source
     k = len(source.workers)
     n = len(source.firms)
-    orders = assoc.copy_orders
-    groups = assoc.copies_by_firm
     # guards[w][f]: for each copy of f that ranks w, the workers it ranks
     # above w; the copy picks w from a menu holding w that misses them all
     guards = [[set() for _ in range(n)] for _ in range(k)]
-    for order, f in zip(orders, assoc.firm_of_copy):
+    for order, f in zip(assoc.copy_orders, assoc.firm_of_copy):
         above = 0
         for w in order.ranking:
             guards[w][f].add(above)
@@ -364,17 +393,9 @@ def enumerate_copy_stable(
     def may_hold(f: int, grown: int) -> bool:
         return all(picked(f, v, grown) for v in iter_indices(grown))
 
-    found = []
-    for held in _placements(options, n, caps, picked, may_hold):
-        by_worker: list[int | None] = [None] * k
-        for f, mask in enumerate(held):
-            for c in groups[f]:
-                best = orders[c].best_in(mask)
-                if best is not None and by_worker[best] is None:
-                    by_worker[best] = c
-        candidate = OneToOneMatching(tuple(by_worker), len(orders))
-        if check_copy_stable(assoc, candidate).stable:
-            found.append(candidate)
+    placements = _placements(options, n, caps, picked, may_hold)
+    images = (split_matching(assoc, placement) for placement in placements)
+    found = [m for m in images if check_copy_stable(assoc, m).stable]
     found.sort(key=lambda m: m.key)
     return found
 
@@ -468,13 +489,6 @@ def enumerate_classical_stable(
                 if broken is not None:
                     pending.append((*broken, i))
     for matching in found:
-        report = check_classical_stable(assoc, matching)
-        if not report.stable:
-            names = {"worker": assoc.source.workers, "copy": assoc.copy_labels}
-            witness = {key: names[key][v] for key, v in report.witness.items()}
-            raise DeferredAcceptanceError(
-                f"break-marriage produced an unstable matching: {report.case} "
-                f"witness {witness}"
-            )
+        require_stable(check_classical_stable(assoc, matching), assoc, "break-marriage")
     found.sort(key=lambda m: m.key)
     return found

@@ -124,6 +124,17 @@ def exhaustive_lad(cf: ChoiceFunction) -> AxiomReport:
     return AxiomReport("law-of-aggregate-demand", True)
 
 
+def every_pair_path_independence(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for first in range(len(table)):
+        for second in range(len(table)):
+            if table[first | second] != table[table[first] | second]:
+                return AxiomReport(
+                    "path-independence", False, {"first": first, "second": second}
+                )
+    return AxiomReport("path-independence", True)
+
+
 CHECKS_AND_ORACLES = (
     (check_substitutability, exhaustive_substitutability),
     (check_consistency, exhaustive_consistency),
@@ -298,6 +309,23 @@ class TestAxioms:
     @settings(max_examples=300)
     def test_path_independence_report_matches_the_pairwise_scan(self, cf):
         assert check_path_independence(cf) == _pairwise_path_independence(cf)
+
+    @given(st.one_of(choice_tables(max_workers=5), subset_rankings(max_workers=5)))
+    @settings(max_examples=300)
+    def test_the_pairwise_scan_skips_no_witness(self, cf):
+        assert _pairwise_path_independence(cf) == every_pair_path_independence(cf)
+
+    def test_first_menus_kept_whole_are_skipped(self):
+        # the firm keeps every menu whole but the full one, which it empties:
+        # substitutable, not consistent, and its one witness sits at the
+        # last first menu, which a scan of every pair reaches after 4^16
+        # tests; every earlier first menu is kept whole and skipped
+        k = 16
+        full = (1 << k) - 1
+        cf = ChoiceFunction.from_table((*range(full), 0), k)
+        assert check_path_independence(cf) == AxiomReport(
+            "path-independence", False, {"first": full, "second": 1}
+        )
 
     def test_verdict_is_kept_but_the_cap_still_applies(self):
         cf = ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)

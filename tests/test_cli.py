@@ -18,8 +18,10 @@ from matchdecomp import (
     dump_market,
     load_market,
     random_market,
+    stability,
 )
 from matchdecomp.cli import main
+from matchdecomp.stability import PAIR_BLOCK, StabilityReport
 
 from conftest import (
     GOLDEN_ORDERS_F1,
@@ -532,6 +534,63 @@ class TestOncePerFirm:
         code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 0
         assert self.per_firm({"scans": scanned}, "scans") == expected
+
+
+def _unknown_worker(tmp_path, monkeypatch, bad_axiom_file):
+    path = tmp_path / "matching.json"
+    path.write_text(json.dumps({"f1": ["w9"]}))
+    return ["check", REFERENCE_PATH, str(path)]
+
+
+def _no_path_independence(tmp_path, monkeypatch, bad_axiom_file):
+    return ["solve", bad_axiom_file]
+
+
+def _failed_classical_closing_check(tmp_path, monkeypatch, bad_axiom_file):
+    monkeypatch.setattr(
+        stability,
+        "check_classical_stable",
+        lambda assoc, matching: StabilityReport(
+            False, PAIR_BLOCK, {"copy": 1, "worker": 0}
+        ),
+    )
+    return ["enumerate", REFERENCE_PATH, "--concept", "classical"]
+
+
+def _worker_cap(tmp_path, monkeypatch, bad_axiom_file):
+    monkeypatch.setenv("MATCHDECOMP_MAX_WORKERS", "2")
+    return ["validate", REFERENCE_PATH]
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "setup, code, error",
+        [
+            (_unknown_worker, 1, "unknown worker 'w9'"),
+            (
+                _no_path_independence,
+                2,
+                "decomposition requires a path-independent choice function",
+            ),
+            (
+                _failed_classical_closing_check,
+                3,
+                "break-marriage produced an unstable matching: pair-block "
+                "witness {'copy': 'f1.2', 'worker': 'w1'}",
+            ),
+            (
+                _worker_cap,
+                4,
+                "worker universe of 4 exceeds subset-enumeration cap 2",
+            ),
+        ],
+        ids=["invalid input", "axiom", "closing check", "cap"],
+    )
+    def test_each_error_kind_has_its_exit_code(
+        self, capsys, tmp_path, monkeypatch, bad_axiom_file, setup, code, error
+    ):
+        argv = setup(tmp_path, monkeypatch, bad_axiom_file)
+        assert run_cli(capsys, *argv) == (code, "", json.dumps({"error": error}) + "\n")
 
 
 class TestGen:

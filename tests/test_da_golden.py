@@ -167,15 +167,15 @@ def stage_digest(assoc, proposing: str, default: bool, monkeypatch) -> str:
     raised, so a strict run that aborts still yields its trace.
     """
     messages = []
-    assert_stable = da._assert_copy_stable
+    require_stable = da.require_stable
 
-    def record(assoc, matching):
+    def record(report, assoc, producer):
         try:
-            assert_stable(assoc, matching)
+            require_stable(report, assoc, producer)
         except DeferredAcceptanceError as exc:
             messages.append(str(exc))
 
-    monkeypatch.setattr(da, "_assert_copy_stable", record)
+    monkeypatch.setattr(da, "require_stable", record)
     run, flag = LARGE_RUNS[proposing]
     _, trace = run(assoc, **{flag: default})
     digest = hashlib.sha256()
