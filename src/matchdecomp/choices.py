@@ -24,16 +24,23 @@ The axioms checked here:
   substitutability plus consistency;
 * law of aggregate demand: ``W'' <= W'`` implies ``|C(W'')| <= |C(W')|``.
 
-Substitutability, consistency and the law of aggregate demand are decided
-on cover pairs ``(S, S - {w})`` alone, O(k * 2**k) per axiom: each is
-violated somewhere exactly when it is violated on some cover pair, and the
-first menu to fail a cover test is the menu of the first witness of the
-exhaustive definition, so only that menu is rescanned to find it.  Path
+Substitutability and consistency are decided on cover pairs ``(S, S -
+{w})`` alone: each is violated somewhere exactly when it is violated on
+some cover pair.  Both run as kernels on the function's menu sets (bit
+``m`` of worker ``w``'s set is on when ``w`` is in ``C(m)``): each of the
+k**2 worker pairs costs a few big-int operations on ``2**k``-bit sets,
+and the lowest set bit of the violation set is the first menu a cover-pair
+scan would fail on.  That menu is the menu of the first witness of the
+exhaustive definition, so only it is rescanned to find the witness.  The
+law of aggregate demand stays a per-menu cover-pair scan, O(k * 2**k),
+that stops at its first failing menu: at small k most tables that fail
+it fail early, and a kernel over every menu measured slower there.  Path
 independence holds for every ``orders`` function by construction and is
-decided through the other two axioms for the rest; only a failing function
-gets the exhaustive pairwise scan, which finds its witness.  A function
-keeps its substitutability and path-independence verdicts, which the
-firm-level stable-set search shares with ``check_path_independence``.
+decided through the other two axioms for the rest; only a failing
+function gets the pairwise scan, which finds its witness.  A function
+keeps its menu sets and its substitutability and path-independence
+verdicts, which the firm-level stable-set search shares with
+``check_path_independence``.
 
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
@@ -46,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bit, iter_indices, iter_submasks
+from .bitsets import bit, iter_indices, iter_submasks, member_sets, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .errors import MarketValidationError
 
@@ -188,6 +195,11 @@ class ChoiceFunction:
         choose = self.choose
         return tuple(choose(m) for m in range(1 << self.universe_size))
 
+    @cached_property
+    def _menu_sets(self) -> tuple[int, ...]:
+        # bit m of item w is on when w is in C(m); callers guard the 2**k cost
+        return member_sets(self._full_table, self.universe_size)
+
     # The verdicts below are kept, so each function is scanned at most once.
     # Callers guard the 2**k cost; a verdict does not depend on caps.
 
@@ -228,20 +240,29 @@ def canonicalize(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> ChoiceFunctio
 def check_substitutability(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     """Chosen workers stay chosen when someone else leaves the menu.
 
-    Decided on cover pairs: removing ``w`` from ``S`` must keep every other
-    worker of ``C(S)``, one test per removed worker.  The first menu that
-    fails is the menu of the first pairwise witness, so only that menu is
-    rescanned pair by pair.
+    Decided on cover pairs: removing ``v`` from ``S`` must keep every other
+    worker of ``C(S)``.  For each pair ``w != v`` the menus that break this
+    are one set expression over the menu sets, k**2 in all.  The lowest
+    menu that breaks it is the menu of the first pairwise witness, so only
+    that menu is rescanned pair by pair.
     """
-    require_universe(cf.universe_size, caps)
-    table = cf._full_table
-    for menu, chosen in enumerate(table):
-        rest = menu if chosen else 0  # an empty choice has no worker to lose
-        while rest:
-            low = rest & -rest
-            if chosen & ~low & ~table[menu ^ low]:
-                return _substitutability_witness(table, menu)
-            rest ^= low
+    k = cf.universe_size
+    require_universe(k, caps)
+    chosen = cf._menu_sets
+    all_menus = (1 << (1 << k)) - 1
+    bad = 0
+    # complements are taken by xor with all_menus: a negative int is slower
+    for v, has_v in enumerate(menu_sets(k)):
+        shift = 1 << v  # from menu S - {v} up to menu S
+        lacks_v = all_menus ^ has_v
+        lost = 0  # on menus S holding v: some w in C(S) is not in C(S - {v})
+        for w, chosen_w in enumerate(chosen):
+            if w != v:
+                lost |= chosen_w ^ (chosen_w & (chosen_w & lacks_v) << shift)
+        bad |= has_v & lost
+    if bad:
+        menu = (bad & -bad).bit_length() - 1
+        return _substitutability_witness(cf._full_table, menu)
     return AxiomReport("substitutability", True)
 
 
@@ -260,20 +281,28 @@ def _substitutability_witness(table, menu: int) -> AxiomReport:
 def check_consistency(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     """Dropping unchosen workers from the menu never changes the choice.
 
-    Decided on cover pairs: removing one unchosen worker must keep the
-    choice, and unchosen workers can be removed one at a time.  The first
-    menu that fails is the menu of the first submenu witness, so only that
-    menu's submenus are walked.
+    Decided on cover pairs: removing one unchosen worker ``v`` must keep
+    the choice, and unchosen workers can be removed one at a time.  For
+    each ``v`` the menus that break this are one set expression over all
+    workers' menu sets, k**2 in all.  The lowest menu that breaks it is
+    the menu of the first submenu witness, so only that menu's submenus
+    are walked.
     """
-    require_universe(cf.universe_size, caps)
-    table = cf._full_table
-    for menu, chosen in enumerate(table):
-        rest = menu & ~chosen
-        while rest:
-            low = rest & -rest
-            if table[menu ^ low] != chosen:
-                return _consistency_witness(table, menu)
-            rest ^= low
+    k = cf.universe_size
+    require_universe(k, caps)
+    chosen = cf._menu_sets
+    all_menus = (1 << (1 << k)) - 1
+    bad = 0
+    for v, has_v in enumerate(menu_sets(k)):
+        shift = 1 << v  # from menu S - {v} up to menu S
+        lacks_v = all_menus ^ has_v
+        changed = 0  # on menus S holding v: C(S) differs from C(S - {v})
+        for chosen_w in chosen:
+            changed |= chosen_w ^ (chosen_w & lacks_v) << shift
+        bad |= (has_v ^ chosen[v]) & changed  # v is on the menu, not chosen
+    if bad:
+        menu = (bad & -bad).bit_length() - 1
+        return _consistency_witness(cf._full_table, menu)
     return AxiomReport("consistency", True)
 
 
@@ -293,10 +322,11 @@ def check_path_independence(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> Ax
     A union of maximizers is path independent (Aizerman and Malishevski),
     so an ``orders`` function passes without a scan.  Any other function
     is path independent exactly when it is substitutable and consistent,
-    which costs O(k * 2**k).  Only when that fails does the
-    pairwise scan run, quadratic in the number of menus, to find the first
-    failing ``{first, second}`` pair as the witness.  The verdict is kept
-    on ``cf``, so each choice function is checked at most once.
+    which costs k**2 operations on ``2**k``-bit menu sets.  Only when that
+    fails does the pairwise scan run, quadratic in the number of menus, to
+    find the first failing ``{first, second}`` pair as the witness.  The
+    verdict is kept on ``cf``, so each choice function is checked at most
+    once.
     """
     require_universe(cf.universe_size, caps)
     return cf._path_independence

@@ -17,7 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .bitsets import bit, iter_indices, mask_of
+from .bitsets import bit, iter_indices, mask_of, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import AxiomReport, ChoiceFunction, LinearOrder, check_path_independence
 from .errors import (
@@ -127,12 +127,6 @@ def _order_trie(orders) -> dict:
     return root
 
 
-def _menus_choosing(table: tuple[int, ...], w: int) -> int:
-    """The menus whose choice includes ``w``, as a bitset over menu masks."""
-    bits = "".join("1" if chosen >> w & 1 else "0" for chosen in reversed(table))
-    return int(bits, 2)
-
-
 def verify_decomposition(
     cf: ChoiceFunction, orders: tuple[LinearOrder, ...], caps: Caps = DEFAULT_CAPS
 ) -> AxiomReport:
@@ -146,33 +140,31 @@ def verify_decomposition(
     menus containing ``w`` stop, with ``w`` as their pick on that branch,
     and the rest go on into the subtrie.  Each trie edge is visited once.
     Duplicate orders, empty orders and orders that are prefixes of others
-    need no special case.  On a failure the witness is the smallest menu
-    mask where the union differs, as a menu-by-menu scan would find.
+    need no special case.  The picks are then compared with the function's
+    menu sets (bit ``m`` of worker ``w``'s set is on when ``w`` is in
+    ``C(m)``), k big-int operations in all.  On a failure the witness is
+    the smallest menu mask where the union differs, as a menu-by-menu scan
+    would find.
     """
     k = cf.universe_size
     require_universe(k, caps)
-    table = cf._full_table
-    all_menus = (1 << len(table)) - 1
-    # bit m of has[w] is set when menu m contains w: in each block of
-    # 2**(w + 1) menus, the upper half.  A hand-built family may name
-    # workers outside the universe; they are on no menu.
-    has = {
-        w: all_menus // ((1 << (2 << w)) - 1) * (((1 << (1 << w)) - 1) << (1 << w))
-        for w in range(k)
-    }
+    all_menus = (1 << (1 << k)) - 1
+    has = menu_sets(k)
     picked = [0] * k  # the menus where some order's best worker is w
     stack = [(_order_trie(orders), all_menus)]
     while stack:
         node, menus = stack.pop()
         for w, child in node.items():
-            present = menus & has.get(w, 0)
+            # a hand-built family may name workers outside the universe,
+            # which are on no menu
+            present = menus & has[w] if w < k else 0
             if present:
                 picked[w] |= present
             if child and present != menus:
                 stack.append((child, menus ^ present))
     diff = 0
-    for w in range(k):
-        diff |= picked[w] ^ _menus_choosing(table, w)
+    for got, want in zip(picked, cf._menu_sets):
+        diff |= got ^ want
     if not diff:
         return AxiomReport("decomposition", True)
     menu = (diff & -diff).bit_length() - 1
@@ -180,7 +172,7 @@ def verify_decomposition(
     return AxiomReport(
         "decomposition",
         False,
-        {"menu": menu, "expected": table[menu], "actual": actual},
+        {"menu": menu, "expected": cf._full_table[menu], "actual": actual},
     )
 
 

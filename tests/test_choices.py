@@ -1,7 +1,9 @@
 """Choice-function representations and the axiom checkers."""
 
 import random
+from array import array
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from matchdecomp import (
     check_substitutability,
     replay_witness,
 )
-from matchdecomp.bitsets import bit, iter_indices
+from matchdecomp import bitsets
+from matchdecomp.bitsets import bit, iter_indices, member_sets, menu_sets
 from matchdecomp.choices import (
     AxiomReport,
+    _consistency_witness,
     _pairwise_path_independence,
+    _substitutability_witness,
     known_substitutable,
 )
 
@@ -133,6 +138,40 @@ def every_pair_path_independence(cf: ChoiceFunction) -> AxiomReport:
                     "path-independence", False, {"first": first, "second": second}
                 )
     return AxiomReport("path-independence", True)
+
+
+# ---------------------------------------------------------------------------
+# cover-pair oracles: the per-menu scans the menu-set kernels replaced
+# ---------------------------------------------------------------------------
+
+
+def cover_pair_substitutability(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for menu, chosen in enumerate(table):
+        rest = menu if chosen else 0  # an empty choice has no worker to lose
+        while rest:
+            low = rest & -rest
+            if chosen & ~low & ~table[menu ^ low]:
+                return _substitutability_witness(table, menu)
+            rest ^= low
+    return AxiomReport("substitutability", True)
+
+
+def cover_pair_consistency(cf: ChoiceFunction) -> AxiomReport:
+    table = cf._full_table
+    for menu, chosen in enumerate(table):
+        rest = menu & ~chosen
+        while rest:
+            low = rest & -rest
+            if table[menu ^ low] != chosen:
+                return _consistency_witness(table, menu)
+            rest ^= low
+    return AxiomReport("consistency", True)
+
+
+def menus_holding(entries, w: int) -> int:
+    """The positions whose entry holds ``w``, read entry by entry."""
+    return int("".join("1" if e >> w & 1 else "0" for e in reversed(entries)), 2)
 
 
 CHECKS_AND_ORACLES = (
@@ -408,3 +447,57 @@ class TestCoverPairChecks:
         cf.__dict__["_full_table"] = counting
         assert check(cf).passed
         assert counting.reads <= (k + 1) << k
+
+
+class TestMenuSetKernels:
+    """The menu-set kernels report what the scans they replaced report."""
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 15, 16])
+    def test_member_sets_match_per_menu_bit_extraction(self, k):
+        # the points where the packing (bytes, then 16-bit array items) or
+        # the byte lane of the last worker changes
+        rng = random.Random(k)
+        table = [rng.randrange(1 << k) & menu for menu in range(1 << k)]
+        menus = range(1 << k)
+        workers = range(k)
+        assert member_sets(table, k) == tuple(menus_holding(table, w) for w in workers)
+        assert menu_sets(k) == tuple(menus_holding(menus, w) for w in workers)
+        assert member_sets(menus, k) == menu_sets(k)
+
+    def test_member_sets_do_not_depend_on_byte_order(self, monkeypatch):
+        def big_endian_array(code, entries):
+            packed = array(code, entries)
+            packed.byteswap()  # most significant byte first, as stored there
+            return packed
+
+        rng = random.Random(12)
+        table = [rng.randrange(1 << 12) & menu for menu in range(1 << 12)]
+        monkeypatch.setattr(bitsets, "array", big_endian_array)
+        monkeypatch.setattr(bitsets, "sys", SimpleNamespace(byteorder="big"))
+        expected = tuple(menus_holding(table, w) for w in range(12))
+        assert member_sets(table, 12) == expected
+
+    @pytest.mark.parametrize("k", [8, 9, 10])
+    def test_kernels_match_the_cover_pair_and_exhaustive_oracles(self, k):
+        # past k = 8 each entry spans two byte lanes; a failure on a menu
+        # holding a worker of the second lane is counted as "high"
+        rng = random.Random(1000 + k)
+        kernels_and_oracles = (
+            (
+                check_substitutability,
+                cover_pair_substitutability,
+                exhaustive_substitutability,
+            ),
+            (check_consistency, cover_pair_consistency, exhaustive_consistency),
+        )
+        counts = {"passed": 0, "failed": 0, "high": 0}
+        for _ in range(100):
+            cf = perturbed_order_union(rng, k)
+            for kernel, cover_pair, exhaustive in kernels_and_oracles:
+                report = kernel(cf)
+                expected = exhaustive(cf)
+                assert report == cover_pair(cf) == expected, (cf.table, kernel.__name__)
+                counts["passed" if report.passed else "failed"] += 1
+                counts["high"] += not report.passed and report.witness["menu"] >> 8 > 0
+        assert counts["passed"] >= 40 and counts["failed"] >= 40, counts
+        assert k == 8 or counts["high"] >= 20, counts
