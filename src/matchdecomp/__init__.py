@@ -35,10 +35,8 @@ from .correspondence import (
 from .da import DaStage, DaTrace, copies_propose, trace_json_lines, workers_propose
 from .decomposition import (
     Decomposition,
-    DuplicateOrderWarning,
     decompose,
     decompose_market,
-    recompose,
     verify_decomposition,
 )
 from .errors import (
@@ -88,7 +86,6 @@ __all__ = [
     "Decomposition",
     "DecompositionMismatchError",
     "DeferredAcceptanceError",
-    "DuplicateOrderWarning",
     "FirmCopy",
     "FirmRationalityError",
     "GenParams",
@@ -125,7 +122,6 @@ __all__ = [
     "merge_matching",
     "parse_market",
     "random_market",
-    "recompose",
     "render_axiom_report",
     "render_stability_report",
     "replay_witness",

@@ -26,21 +26,26 @@ The axioms checked here:
 
 Substitutability and consistency are decided on cover pairs ``(S, S -
 {w})`` alone: each is violated somewhere exactly when it is violated on
-some cover pair.  Both run as kernels on the function's menu sets (bit
-``m`` of worker ``w``'s set is on when ``w`` is in ``C(m)``): each of the
-k**2 worker pairs costs a few big-int operations on ``2**k``-bit sets,
-and the lowest set bit of the violation set is the first menu a cover-pair
-scan would fail on.  That menu is the menu of the first witness of the
-exhaustive definition, so only it is rescanned to find the witness.  The
-law of aggregate demand stays a per-menu cover-pair scan, O(k * 2**k),
-that stops at its first failing menu: at small k most tables that fail
-it fail early, and a kernel over every menu measured slower there.  Path
-independence holds for every ``orders`` function by construction and is
-decided through the other two axioms for the rest; only a failing
-function gets the pairwise scan, which finds its witness.  A function
-keeps its menu sets and its substitutability and path-independence
-verdicts, which the firm-level stable-set search shares with
-``check_path_independence``.
+some cover pair.  One pass over the function's menu sets (bit ``m`` of
+worker ``w``'s set is on when ``w`` is in ``C(m)``) decides both: each of
+the k**2 worker pairs costs a few big-int operations on ``2**k``-bit
+sets, and the pass keeps, for each axiom, the set of menus that break it
+on a cover pair.  The lowest set bit of that set is the first menu a
+cover-pair scan would fail on, which is the menu of the first witness of
+the exhaustive definition, so only it is rescanned to find the witness.
+The law of aggregate demand stays a per-menu cover-pair scan,
+O(k * 2**k), that stops at its first failing menu: at small k most tables
+that fail it fail early, and a kernel over every menu measured slower
+there.  Path independence holds for every ``orders`` function by
+construction and is decided through the other two axioms for the rest;
+only a failing function gets the pairwise scan, which finds its witness.
+
+A function keeps its menu sets, the cover-pair pass and its
+path-independence verdict, none of which depends on caps: the
+substitutability, consistency and path-independence checkers and
+:func:`known_substitutable`, which the firm-level stable-set search asks,
+all read the one pass.  Each public checker applies the ``2**k`` guard,
+``require_universe``, on every call, before it reads anything.
 
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
@@ -53,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bit, iter_indices, iter_submasks, member_sets, menu_sets
+from .bitsets import bit, iter_indices, iter_submasks, mask_of, member_sets, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .errors import MarketValidationError
 
@@ -80,10 +85,7 @@ class LinearOrder:
 
     @cached_property
     def mask(self) -> int:
-        m = 0
-        for w in self.ranking:
-            m |= 1 << w
-        return m
+        return mask_of(self.ranking)
 
     def best_in(self, mask: int) -> int | None:
         """First ranked worker whose bit is set in ``mask``, if any."""
@@ -200,21 +202,35 @@ class ChoiceFunction:
         # bit m of item w is on when w is in C(m); callers guard the 2**k cost
         return member_sets(self._full_table, self.universe_size)
 
-    # The verdicts below are kept, so each function is scanned at most once.
-    # Callers guard the 2**k cost; a verdict does not depend on caps.
+    # The pass and the verdict below are kept, so each function is scanned
+    # at most once.  Callers guard the 2**k cost; neither depends on caps.
 
     @cached_property
-    def _substitutable(self) -> bool:
-        if self.kind == ORDERS:
-            return True
-        return check_substitutability(self, Caps(max_workers=self.universe_size)).passed
+    def _cover_pair_failures(self) -> tuple[int, int]:
+        """The menus that fail substitutability, then consistency, on a
+        cover pair ``(S, S - {v})``, as two menu sets."""
+        k = self.universe_size
+        chosen = self._menu_sets
+        all_menus = (1 << (1 << k)) - 1
+        substitutability = consistency = 0
+        # complements are taken by xor with all_menus: a negative int is slower
+        for v, has_v in enumerate(menu_sets(k)):
+            shift = 1 << v  # from menu S - {v} up to menu S
+            lacks_v = all_menus ^ has_v
+            lost = 0  # on menus S holding v: some w in C(S) is not in C(S - {v})
+            changed = 0  # on menus S holding v: C(S) differs from C(S - {v})
+            for w, chosen_w in enumerate(chosen):
+                kept = (chosen_w & lacks_v) << shift  # w in C(S - {v})
+                if w != v:
+                    lost |= chosen_w ^ (chosen_w & kept)
+                changed |= chosen_w ^ kept
+            substitutability |= has_v & lost
+            consistency |= (has_v ^ chosen[v]) & changed  # v is on the menu, not chosen
+        return substitutability, consistency
 
     @cached_property
     def _path_independence(self) -> AxiomReport:
-        if self._substitutable and (
-            self.kind == ORDERS
-            or check_consistency(self, Caps(max_workers=self.universe_size))
-        ):
+        if self.kind == ORDERS or not any(self._cover_pair_failures):
             return AxiomReport("path-independence", True)
         return _pairwise_path_independence(self)
 
@@ -225,8 +241,10 @@ def known_substitutable(cf: ChoiceFunction, caps: Caps) -> bool:
     ``orders`` functions always qualify; any other is scanned once, and
     only when its universe fits ``caps.max_workers``, else it does not.
     """
-    fits = cf.kind == ORDERS or cf.universe_size <= caps.max_workers
-    return fits and cf._substitutable
+    if cf.kind == ORDERS:
+        return True
+    fits = cf.universe_size <= caps.max_workers
+    return fits and not cf._cover_pair_failures[0]
 
 
 def canonicalize(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> ChoiceFunction:
@@ -241,25 +259,14 @@ def check_substitutability(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> Axi
     """Chosen workers stay chosen when someone else leaves the menu.
 
     Decided on cover pairs: removing ``v`` from ``S`` must keep every other
-    worker of ``C(S)``.  For each pair ``w != v`` the menus that break this
-    are one set expression over the menu sets, k**2 in all.  The lowest
-    menu that breaks it is the menu of the first pairwise witness, so only
-    that menu is rescanned pair by pair.
+    worker of ``C(S)``.  The menus that break this come from the kept
+    cover-pair pass, k**2 set expressions shared with
+    :func:`check_consistency`, behind the ``2**k`` guard.  The lowest menu
+    that breaks it is the menu of the first pairwise witness, so only that
+    menu is rescanned pair by pair.
     """
-    k = cf.universe_size
-    require_universe(k, caps)
-    chosen = cf._menu_sets
-    all_menus = (1 << (1 << k)) - 1
-    bad = 0
-    # complements are taken by xor with all_menus: a negative int is slower
-    for v, has_v in enumerate(menu_sets(k)):
-        shift = 1 << v  # from menu S - {v} up to menu S
-        lacks_v = all_menus ^ has_v
-        lost = 0  # on menus S holding v: some w in C(S) is not in C(S - {v})
-        for w, chosen_w in enumerate(chosen):
-            if w != v:
-                lost |= chosen_w ^ (chosen_w & (chosen_w & lacks_v) << shift)
-        bad |= has_v & lost
+    require_universe(cf.universe_size, caps)
+    bad = cf._cover_pair_failures[0]
     if bad:
         menu = (bad & -bad).bit_length() - 1
         return _substitutability_witness(cf._full_table, menu)
@@ -282,24 +289,14 @@ def check_consistency(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomRep
     """Dropping unchosen workers from the menu never changes the choice.
 
     Decided on cover pairs: removing one unchosen worker ``v`` must keep
-    the choice, and unchosen workers can be removed one at a time.  For
-    each ``v`` the menus that break this are one set expression over all
-    workers' menu sets, k**2 in all.  The lowest menu that breaks it is
-    the menu of the first submenu witness, so only that menu's submenus
-    are walked.
+    the choice, and unchosen workers can be removed one at a time.  The
+    menus that break this come from the kept cover-pair pass, shared with
+    :func:`check_substitutability`, behind the ``2**k`` guard.  The lowest
+    menu that breaks it is the menu of the first submenu witness, so only
+    that menu's submenus are walked.
     """
-    k = cf.universe_size
-    require_universe(k, caps)
-    chosen = cf._menu_sets
-    all_menus = (1 << (1 << k)) - 1
-    bad = 0
-    for v, has_v in enumerate(menu_sets(k)):
-        shift = 1 << v  # from menu S - {v} up to menu S
-        lacks_v = all_menus ^ has_v
-        changed = 0  # on menus S holding v: C(S) differs from C(S - {v})
-        for chosen_w in chosen:
-            changed |= chosen_w ^ (chosen_w & lacks_v) << shift
-        bad |= (has_v ^ chosen[v]) & changed  # v is on the menu, not chosen
+    require_universe(cf.universe_size, caps)
+    bad = cf._cover_pair_failures[1]
     if bad:
         menu = (bad & -bad).bit_length() - 1
         return _consistency_witness(cf._full_table, menu)
@@ -322,11 +319,12 @@ def check_path_independence(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> Ax
     A union of maximizers is path independent (Aizerman and Malishevski),
     so an ``orders`` function passes without a scan.  Any other function
     is path independent exactly when it is substitutable and consistent,
-    which costs k**2 operations on ``2**k``-bit menu sets.  Only when that
-    fails does the pairwise scan run, quadratic in the number of menus, to
-    find the first failing ``{first, second}`` pair as the witness.  The
+    which it reads from the kept cover-pair pass.  Only when that fails
+    does the pairwise scan run, quadratic in the number of menus, to find
+    the first failing ``{first, second}`` pair as the witness.  The
     verdict is kept on ``cf``, so each choice function is checked at most
-    once.
+    once, but the ``2**k`` guard applies on every call, ``orders``
+    functions included.
     """
     require_universe(cf.universe_size, caps)
     return cf._path_independence

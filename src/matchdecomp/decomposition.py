@@ -8,29 +8,21 @@ order's best worker in ``S`` (the classical Aizerman-Malishevski form).
 universe it repeatedly picks one currently chosen worker, removes it, and
 recurses; every maximal pick sequence, read as a preference list, is one
 order of the family.  Workers never picked along a branch are unacceptable
-in that branch's order.  ``recompose`` is the inverse direction and works
-for any order family, path independent or not.
+in that branch's order.  The inverse direction, the union of an order
+family, is ``ChoiceFunction.from_orders``.  A market file's copy indexing
+is matched against the walk where the file is read, in
+:func:`~matchdecomp.io.parse_market`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .bitsets import bit, iter_indices, mask_of, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import AxiomReport, ChoiceFunction, LinearOrder, check_path_independence
-from .errors import (
-    AxiomViolationError,
-    CapExceededError,
-    DecompositionMismatchError,
-    MarketValidationError,
-)
+from .errors import AxiomViolationError, CapExceededError, MarketValidationError
 from .markets import ManyToOneMarket
-
-
-class DuplicateOrderWarning(UserWarning):
-    """Recomposing a family that lists the same order twice."""
 
 
 @dataclass(frozen=True)
@@ -49,28 +41,10 @@ class Decomposition:
                 raise MarketValidationError("decomposition lists an order twice")
 
 
-def recompose(
-    orders, universe_size: int, warn_duplicates: bool = True
-) -> ChoiceFunction:
-    """Union-of-orders choice function for an arbitrary order family."""
-    orders = tuple(orders)
-    if warn_duplicates and len(set(orders)) != len(orders):
-        warnings.warn(
-            "duplicate orders are redundant in a union", DuplicateOrderWarning
-        )
-    return ChoiceFunction.from_orders(orders, universe_size)
-
-
-def decompose(
-    cf: ChoiceFunction,
-    explicit: tuple[LinearOrder, ...] | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> list[LinearOrder]:
+def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder]:
     """All distinct orders realizable by maximal pick sequences of ``cf``.
 
-    The result is sorted lexicographically by worker index sequence, unless
-    ``explicit`` supplies the desired indexing, in which case it is
-    validated to be exactly the same set of orders and returned as given.
+    The result is sorted lexicographically by worker index sequence.
     Raises AxiomViolationError when ``cf`` is not path independent and
     CapExceededError when more than ``caps.max_orders`` distinct orders
     appear.  The result is not verified against ``cf`` here:
@@ -104,16 +78,6 @@ def decompose(
             prefix.pop()
 
     walk((1 << cf.universe_size) - 1, [])
-
-    if explicit is not None:
-        explicit = tuple(explicit)
-        if len(set(explicit)) != len(explicit):
-            raise MarketValidationError("explicit copy indexing repeats an order")
-        if set(explicit) != set(result):
-            raise DecompositionMismatchError(
-                "explicit copy indexing is not the decomposition order set"
-            )
-        return list(explicit)
     return result
 
 

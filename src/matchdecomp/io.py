@@ -13,8 +13,9 @@ every menu exactly once, in ascending menu order.  Each label is resolved
 with one dict lookup: a subset's mask is the sum of its labels' bits, and a
 repeated label shows as a mask with fewer set bits than labels.  An optional
 ``copy_indexing`` section pins the copy numbering of a firm's
-decomposition; it must list exactly the orders the decomposition
-produces, and is rejected otherwise.
+decomposition.  :func:`parse_market` matches it here, once per load: it
+walks the firm's decomposition and rejects an indexing that repeats an
+order or that is not exactly the walk's set of orders.
 
 Parsing and serializing are inverse: ``parse_market(serialize_market(doc))``
 reproduces the document field for field, including each choice function's
@@ -39,7 +40,7 @@ from .choices import (
     LinearOrder,
 )
 from .decomposition import decompose
-from .errors import MarketValidationError
+from .errors import DecompositionMismatchError, MarketValidationError
 from .markets import ManyToOneMarket
 
 _MASK_KEYS = frozenset(
@@ -269,9 +270,14 @@ def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
             _order_from_labels(entry, widx, f"copy_indexing of {firm}")
             for entry in orders_in
         )
-        # decompose validates that the explicit family is exactly the
-        # decomposition's order set (and that the firm is path independent)
-        decompose(market.choice_functions[f], explicit, caps)
+        # the walk raises first when the firm is not path independent
+        walked = decompose(market.choice_functions[f], caps)
+        if len(set(explicit)) != len(explicit):
+            raise MarketValidationError("explicit copy indexing repeats an order")
+        if set(explicit) != set(walked):
+            raise DecompositionMismatchError(
+                "explicit copy indexing is not the decomposition order set"
+            )
         copy_indexing[f] = explicit
     return MarketDocument(market, copy_indexing)
 

@@ -383,7 +383,7 @@ class TestAxioms:
         assert known_substitutable(orders, small)
         for cf in (substitutable, not_substitutable):
             assert not known_substitutable(cf, small)
-            assert "_substitutable" not in vars(cf)
+            assert "_cover_pair_failures" not in vars(cf)
         assert known_substitutable(substitutable, Caps())
         assert not known_substitutable(not_substitutable, Caps())
 

@@ -3,16 +3,19 @@
 import json
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from matchdecomp import (
+    ChoiceFunction,
     GenParams,
     MarketDocument,
     build_associated_market,
     canonicalize,
     choices,
     cli,
+    correspondence,
     decompose_market,
     decomposition,
     dump_market,
@@ -319,6 +322,26 @@ class TestVerify:
         assert report["count_invariance"]["verdict"] == "pass"
         assert report["count_invariance"]["copies_filled_per_matching"] == [[2, 2]] * 4
 
+    def test_a_broken_correspondence_exits_3(self, capsys, monkeypatch):
+        # the copy-stable set loses one matching: its stable partner's split
+        # image is then missing, and the two counts differ
+        enumerate_copy_stable = correspondence.enumerate_copy_stable
+        monkeypatch.setattr(
+            correspondence,
+            "enumerate_copy_stable",
+            lambda *args, **kwargs: enumerate_copy_stable(*args, **kwargs)[1:],
+        )
+        code, out, err = run_cli(capsys, "verify", REFERENCE_PATH)
+        assert (code, err) == (3, "")
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["correspondence"]["passed"] is False
+        assert report["correspondence"]["problems"] == [
+            "split image (0, 3, 6, 9) is not copy-stable",
+            "4 stable vs 3 copy-stable matchings",
+        ]
+        assert report["correspondence"]["copy_stable_count"] == 3
+
 
 def assert_input_error(code, err):
     assert code == 1
@@ -464,6 +487,21 @@ class TestOncePerFirm:
     def per_firm(calls, name):
         return sorted(Counter(map(id, calls[name])).values())
 
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """Each choice function whose cover-pair pass runs, once per run."""
+        evaluated = []
+        original = ChoiceFunction._cover_pair_failures.func
+
+        def counting(cf):
+            evaluated.append(cf)
+            return original(cf)
+
+        kept = cached_property(counting)
+        kept.__set_name__(ChoiceFunction, "_cover_pair_failures")
+        monkeypatch.setattr(ChoiceFunction, "_cover_pair_failures", kept)
+        return evaluated
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -494,46 +532,29 @@ class TestOncePerFirm:
         assert code in (0, 3)  # check may find the empty matching blocked
         assert calls["verify_decomposition"] == []
 
-    def test_validate_scans_each_indexed_firm_once(self, capsys, monkeypatch):
+    def test_validate_scans_each_indexed_firm_once(self, capsys, passes):
         # the reference firms are subset rankings with a copy indexing:
         # loading decomposes them, and the report reuses that verdict
-        scanned = []
-        original = choices.check_substitutability
-
-        def counting(cf, *args, **kwargs):
-            scanned.append(cf)
-            return original(cf, *args, **kwargs)
-
-        monkeypatch.setattr(choices, "check_substitutability", counting)
         code, _, _ = run_cli(capsys, "validate", REFERENCE_PATH)
         assert code == 0
-        assert len(scanned) == 2
-
+        assert len(passes) == 2
 
     @pytest.mark.parametrize("argv", [["verify"], ["enumerate", "--concept", "stable"]])
     @pytest.mark.parametrize("which", ["reference", "table"])
     def test_substitutability_is_scanned_once_per_firm(
-        self, capsys, monkeypatch, tmp_path, argv, which
+        self, capsys, tmp_path, passes, argv, which
     ):
-        # the firm-level cut reuses the verdict that path independence
-        # keeps; an orders firm is substitutable without a scan
+        # the firm-level cut reads the pass that path independence keeps;
+        # an orders firm is substitutable without a scan
         if which == "reference":
             path, expected = REFERENCE_PATH, [1, 1]
         else:
             market = random_market(GenParams(workers=4, firms=2, max_orders=2, seed=3))
             table = canonicalize(market.choice_functions[0])
             path, expected = write_market(tmp_path / "m.json", with_first_firm(market, table)), [1]
-        scanned = []
-        original = choices.check_substitutability
-
-        def counting(cf, *args, **kwargs):
-            scanned.append(cf)
-            return original(cf, *args, **kwargs)
-
-        monkeypatch.setattr(choices, "check_substitutability", counting)
         code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 0
-        assert self.per_firm({"scans": scanned}, "scans") == expected
+        assert self.per_firm({"passes": passes}, "passes") == expected
 
 
 def _unknown_worker(tmp_path, monkeypatch, bad_axiom_file):

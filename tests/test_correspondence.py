@@ -9,6 +9,7 @@ from matchdecomp import (
     GenParams,
     ManyToOneMatching,
     check_count_invariance,
+    enumerate_copy_stable,
     enumerate_stable,
     merge_matching,
     random_market,
@@ -19,6 +20,8 @@ from matchdecomp import (
 from conftest import (
     GOLDEN_COPY_STABLE,
     GOLDEN_MERGE_IMAGES,
+    LAM_FIRM,
+    MU_FIRM,
     copy_sets,
     family_association,
     firm_sets,
@@ -80,6 +83,65 @@ class TestCorrespondence:
         report = verify_correspondence(assoc)
         assert report.passed
         assert len(report.stable) == 2
+
+
+class TestCorrespondenceFailures:
+    """Wrong sets passed in through ``stable=`` and ``copy_stable=`` are
+    reported problem by problem."""
+
+    def test_a_missing_stable_matching(self, reference_assoc, reference_market):
+        # LAM_FIRM merges into MU_FIRM, which the set leaves out
+        missing = m1(reference_market, MU_FIRM)
+        stable = [m for m in enumerate_stable(reference_market) if m != missing]
+        report = verify_correspondence(reference_assoc, stable=stable)
+        assert not report.passed
+        assert report.problems == (
+            "merge image (0, 0, 1, 1) is not stable",
+            "3 stable vs 4 copy-stable matchings",
+        )
+
+    def test_a_missing_copy_stable_matching(self, reference_assoc, reference_market):
+        missing = m11(reference_assoc, LAM_FIRM)
+        copy_stable = [
+            m for m in enumerate_copy_stable(reference_assoc) if m != missing
+        ]
+        report = verify_correspondence(reference_assoc, copy_stable=copy_stable)
+        assert not report.passed
+        assert report.problems == (
+            "split image (0, 3, 6, 9) is not copy-stable",
+            "4 stable vs 3 copy-stable matchings",
+        )
+
+    def test_a_matching_that_does_not_split(self, reference_assoc, reference_market):
+        # no copy of f1 picks w4 from {w1, w4}, so f1 would not keep the pair
+        unsplittable = m1(reference_market, {"f1": ["w1", "w4"]})
+        stable = [*enumerate_stable(reference_market), unsplittable]
+        report = verify_correspondence(reference_assoc, stable=stable)
+        assert not report.passed
+        assert report.problems == (
+            "split failed on stable matching (0, None, None, 0): firm f1 would "
+            "not choose its assigned set: no copy's best pick is w4",
+            "5 stable vs 4 copy-stable matchings",
+        )
+        assert len(report.split) == 4
+
+    def test_two_copy_matchings_with_one_merge_image(
+        self, reference_assoc, reference_market
+    ):
+        # w1 and w2 trade copies of f1: the firm hires the same pair
+        traded = {**LAM_FIRM, "f1.1": "w2", "f1.4": "w1"}
+        copy_stable = [m11(reference_assoc, LAM_FIRM), m11(reference_assoc, traded)]
+        report = verify_correspondence(
+            reference_assoc,
+            stable=[m1(reference_market, MU_FIRM)],
+            copy_stable=copy_stable,
+        )
+        assert not report.passed
+        assert report.problems == (
+            "split(merge) moved (3, 0, 6, 9)",
+            "1 stable vs 2 copy-stable matchings",
+            "merge is not injective on the copy-stable set",
+        )
 
 
 class TestCountInvariance:

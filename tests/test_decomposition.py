@@ -1,4 +1,4 @@
-"""Order-family decomposition, recomposition, and their verification."""
+"""Order-family decomposition, its union of orders, and their verification."""
 
 import random
 
@@ -14,12 +14,13 @@ from matchdecomp import (
     ChoiceFunction,
     Decomposition,
     DecompositionMismatchError,
-    DuplicateOrderWarning,
     LinearOrder,
+    ManyToOneMarket,
     MarketValidationError,
     decompose,
     decompose_market,
-    recompose,
+    parse_market,
+    serialize_market,
     verify_decomposition,
 )
 
@@ -109,16 +110,20 @@ class TestDecomposeReference:
         assert sequences == sorted(sequences)
 
     def test_explicit_must_match_order_set(self, reference_market):
-        cf = reference_market.choice_functions[0]
-        wrong = (LinearOrder((0, 1, 2, 3)),)
-        with pytest.raises(DecompositionMismatchError):
-            decompose(cf, wrong)
+        # a file's copy indexing is matched against the walk as it is read
+        data = serialize_market(reference_market, {0: (LinearOrder((0, 1, 2, 3)),)})
+        with pytest.raises(DecompositionMismatchError) as caught:
+            parse_market(data)
+        assert str(caught.value) == (
+            "explicit copy indexing is not the decomposition order set"
+        )
 
     def test_explicit_rejects_repeats(self, reference_market):
-        cf = reference_market.choice_functions[0]
-        orders = decompose(cf)
-        with pytest.raises(MarketValidationError):
-            decompose(cf, tuple(orders[:1]) * 2)
+        orders = decompose(reference_market.choice_functions[0])
+        data = serialize_market(reference_market, {0: orders[:1] * 2})
+        with pytest.raises(MarketValidationError) as caught:
+            parse_market(data)
+        assert str(caught.value) == "explicit copy indexing repeats an order"
 
 
 class TestDecomposeEdges:
@@ -146,18 +151,18 @@ class TestDecomposeEdges:
 
 class TestRecompose:
     def test_union_of_maxima(self):
-        cf = recompose((LinearOrder((0, 1, 2)), LinearOrder((0, 2, 1))), 3)
+        orders = (LinearOrder((0, 1, 2)), LinearOrder((0, 2, 1)))
+        cf = ChoiceFunction.from_orders(orders, 3)
         assert cf.choose(0b111) == 0b001
         assert cf.choose(0b110) == 0b110
 
     def test_no_orders_means_no_hires(self):
-        cf = recompose((), 2)
+        cf = ChoiceFunction.from_orders((), 2)
         assert all(cf.choose(m) == 0 for m in range(4))
 
-    def test_duplicates_warn_but_work(self):
+    def test_duplicates_work(self):
         order = LinearOrder((0,))
-        with pytest.warns(DuplicateOrderWarning):
-            cf = recompose((order, order), 1)
+        cf = ChoiceFunction.from_orders((order, order), 1)
         assert cf.choose(1) == 1
 
     def test_decomposition_type_rejects_duplicates(self):
@@ -213,7 +218,7 @@ class TestRoundTrips:
     @settings(max_examples=100, deadline=None)
     def test_decompose_then_recompose_is_identity(self, cf):
         orders = decompose(cf)
-        rebuilt = recompose(orders, cf.universe_size, warn_duplicates=False)
+        rebuilt = ChoiceFunction.from_orders(orders, cf.universe_size)
         for menu in range(1 << cf.universe_size):
             assert rebuilt.choose(menu) == cf.choose(menu)
 
@@ -225,7 +230,11 @@ class TestRoundTrips:
     @given(order_unions(), st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
     def test_explicit_reindexing_round_trips(self, cf, rng):
-        orders = decompose(cf)
-        shuffled = list(orders)
+        shuffled = decompose(cf)
         rng.shuffle(shuffled)
-        assert decompose(cf, tuple(shuffled)) == shuffled
+        k = cf.universe_size
+        market = ManyToOneMarket(
+            tuple(f"w{i}" for i in range(1, k + 1)), ("A",), (cf,), ((0,),) * k
+        )
+        doc = parse_market(serialize_market(market, {0: shuffled}))
+        assert doc.copy_indexing == {0: tuple(shuffled)}

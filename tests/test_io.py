@@ -321,6 +321,31 @@ class TestLabelLookup:
         out, err = capsys.readouterr()
         assert (out, json.loads(err)) == ("", {"error": message})
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda d: d["worker_prefs"]["w1"].append("f2"),
+                "duplicate firm in preferences of w1",
+            ),
+            (
+                lambda d: d["copy_indexing"].update(nope=[["w1"]]),
+                "copy_indexing for unknown firm 'nope'",
+            ),
+        ],
+        ids=["prefs-firm-twice", "indexing-unknown-firm"],
+    )
+    def test_refusals_after_the_labels_resolve_exit_1(
+        self, capsys, tmp_path, mutate, message
+    ):
+        # the market constructor refuses a worker who lists a firm twice,
+        # and the copy indexing must name a firm of the file
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_reference_with(mutate)), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", json.dumps({"error": message}) + "\n")
+
 
 # a mutation picks one node of the document: a dict value, a list item or,
 # for "add", any container including the root

@@ -664,7 +664,9 @@ class TestPruning:
         )
         caps = Caps(max_workers=3)
         assert enumerate_stable(market, caps) == enumerate_stable(reference_market)
-        assert all("_substitutable" not in vars(cf) for cf in market.choice_functions)
+        assert all(
+            "_cover_pair_failures" not in vars(cf) for cf in market.choice_functions
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_classical_random_markets_agree(self, seed):
