@@ -32,7 +32,14 @@ from .correspondence import (
     check_count_invariance,
     verify_correspondence,
 )
-from .da import DaStage, DaTrace, copies_propose, trace_json_lines, workers_propose
+from .da import (
+    DaStage,
+    DaTrace,
+    IdleStretch,
+    copies_propose,
+    trace_json_lines,
+    workers_propose,
+)
 from .decomposition import (
     Decomposition,
     decompose,
@@ -89,6 +96,7 @@ __all__ = [
     "FirmCopy",
     "FirmRationalityError",
     "GenParams",
+    "IdleStretch",
     "LinearOrder",
     "ManyToOneMarket",
     "ManyToOneMatching",

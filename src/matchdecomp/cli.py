@@ -123,7 +123,7 @@ def _cmd_solve(args, caps) -> int:
     _emit(
         {
             "proposing": trace.proposing,
-            "stages": len(trace.stages),
+            "stages": trace.stage_count,
             "matching": matching.render(assoc),
         }
     )

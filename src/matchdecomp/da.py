@@ -37,17 +37,29 @@ variant can carry exactly this envy into the final matching, and then the
 closing stability assertion fails.  The run stops after the first stage
 without any rejection.
 
-Both runs return the final matching plus a stage-by-stage trace, assert
-that the result is copy-stable, and are insensitive to the order agents
-are visited within a stage: offer, screening and acceptance decisions
-read the previous stage's state, and the release pass reads the stage's
-end state.
+On markets with many copies most worker-proposing stages hire nobody:
+every offer is rejected, nothing is held or released, and each offering
+worker moves one copy down its list.  Before each stage the run looks
+ahead under the unchanged held masks, in lockstep over the pool, to the
+first offer a copy would accept or to the first stage without offers,
+and takes the all-rejected stages before it in one step, recorded as
+one :class:`IdleStretch`.  The look-ahead costs one rank comparison per
+offer it passes and one O(k) pick per copy it reaches, which the stage
+that follows reuses; a stage that hires pays about one extra comparison.
+
+Both runs return the final matching plus a trace, assert that the
+result is copy-stable, and are insensitive to the order agents are
+visited within a stage: offer, screening and acceptance decisions read
+the previous stage's state, and the release pass reads the stage's end
+state.  The trace expands its records into one :class:`DaStage` per
+stage only when its ``stages`` are first read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .association import OneToOneMarket
@@ -88,9 +100,85 @@ class DaStage:
 
 
 @dataclass(frozen=True)
+class IdleStretch:
+    """Consecutive worker-proposing stages in which every offer was rejected.
+
+    Nothing is hired, held or released across such stages, so each moves
+    every offering worker one place down its lifted list.  The stretch
+    keeps only where it starts: ``pool`` are the workers due to offer at
+    stage ``first``, ascending, ``start`` their list positions there, and
+    ``by_worker`` the assignment that holds throughout.  :meth:`expand`
+    rebuilds the ``length`` :class:`DaStage` records the stretch stands
+    for; a worker that runs out of list inside it drops out, as it does
+    in any stage.
+    """
+
+    first: int
+    length: int
+    pool: tuple[int, ...]
+    start: tuple[int, ...]
+    by_worker: tuple[int | None, ...]
+    assoc: OneToOneMarket = field(repr=False)
+
+    def expand(self) -> Iterator[DaStage]:
+        assoc = self.assoc
+        prefs = assoc.worker_prefs
+        cempty = assoc.copy_empty_rank
+        held = [0] * len(assoc.source.firms)
+        for w, c in enumerate(self.by_worker):
+            if c is not None:
+                held[assoc.firm_of_copy[c]] |= bit(w)
+        bars = _Bars(assoc, held)
+        for step in range(self.length):
+            offers: dict[int, list[int]] = {}
+            for w, pos in zip(self.pool, self.start):
+                if pos + step < len(prefs[w]):
+                    offers.setdefault(prefs[w][pos + step], []).append(w)
+            offered = {c: tuple(ws) for c, ws in offers.items()}
+            # an offer clears the screen only while the copy has no pick,
+            # and is then still rejected, since the copy does not rank it
+            yield DaStage(
+                self.first + step,
+                offered,
+                {c: offered[c] for c in sorted(offered)},
+                self.by_worker,
+                len(assoc.copies),
+                valid_offers={
+                    c: offered[c] if bars[c] == cempty[c] else ()
+                    for c in sorted(offered)
+                },
+            )
+
+
+@dataclass(frozen=True)
 class DaTrace:
+    """A run's stage records, in stage order.
+
+    Copies proposing, every record is a :class:`DaStage`.  Workers
+    proposing, each run of stages in which every offer was rejected is
+    one :class:`IdleStretch`.  ``stages`` expands the records into one
+    :class:`DaStage` per stage when it is first read.
+    """
+
     proposing: str
-    stages: tuple[DaStage, ...]
+    records: tuple[DaStage | IdleStretch, ...]
+
+    @property
+    def stage_count(self) -> int:
+        return sum(
+            record.length if isinstance(record, IdleStretch) else 1
+            for record in self.records
+        )
+
+    @cached_property
+    def stages(self) -> tuple[DaStage, ...]:
+        stages: list[DaStage] = []
+        for record in self.records:
+            if isinstance(record, IdleStretch):
+                stages.extend(record.expand())
+            else:
+                stages.append(record)
+        return tuple(stages)
 
 
 def copies_propose(
@@ -194,13 +282,30 @@ def workers_propose(
     held = [0] * len(assoc.source.firms)  # each firm's held workers
     next_pos = [0] * k
     pool = list(range(k))
-    stages: list[DaStage] = []
+    records: list[DaStage | IdleStretch] = []
+    number = 1
 
     while True:
-        number = len(stages) + 1
+        # screening reads the masks as the stage began
+        bars = _Bars(assoc, held[:])
+        idle, active = _idle_stages(pool, next_pos, prefs, crank, bars)
+        if idle:
+            records.append(
+                IdleStretch(
+                    number,
+                    idle,
+                    tuple(pool),
+                    tuple(next_pos[w] for w in pool),
+                    tuple(held_by_worker),
+                    assoc,
+                )
+            )
+            number += idle
+            pool = active
+            for w in pool:
+                next_pos[w] += idle
         if number > n_copies * k + 2:
             raise DeferredAcceptanceError("deferred acceptance failed to terminate")
-        screen = held[:]  # screening reads the masks as the stage began
         # proposers visit in ascending order, so every offer list is sorted
         offers: dict[int, list[int]] = {}
         for w in pool:
@@ -219,8 +324,11 @@ def workers_propose(
             candidates = offers[c]
             row = crank[c]
             f = firm_of[c]
-            top = orders[c].best_in(screen[f])
-            valid = [w for w in candidates if top is None or row[w] < row[top]]
+            bar = bars[c]
+            if bar == cempty[c]:
+                valid = candidates  # no pick: every offer passes the screen
+            else:
+                valid = [w for w in candidates if row[w] < bar]
             valid_offers[c] = tuple(valid)
 
             previous = held_by_copy[c]
@@ -265,7 +373,7 @@ def workers_propose(
                 rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
                 rejected.append(dropped)
 
-        stages.append(
+        records.append(
             DaStage(
                 number,
                 {c: tuple(ws) for c, ws in offers.items()},
@@ -275,13 +383,70 @@ def workers_propose(
                 valid_offers=valid_offers,
             )
         )
+        number += 1
         if not rejected:
             break
         pool = sorted(set(rejected))
 
-    result = stages[-1].matching
+    result = records[-1].matching
     require_stable(check_copy_stable(assoc, result), assoc, "deferred acceptance")
-    return result, DaTrace(WORKERS, tuple(stages))
+    return result, DaTrace(WORKERS, tuple(records))
+
+
+class _Bars(dict):
+    """Each copy's acceptance bar under fixed held masks, found on first use.
+
+    A copy takes a worker it ranks below its bar: the rank of its pick
+    from its firm's held workers, or its empty rank when it has no pick.
+    Only a ranked worker clears the empty rank, but while a copy has no
+    pick every offer passes its screen.
+    """
+
+    def __init__(self, assoc: OneToOneMarket, held: list[int]):
+        super().__init__()
+        self.assoc = assoc
+        self.held = held
+
+    def __missing__(self, c: int) -> int:
+        assoc = self.assoc
+        top = assoc.copy_orders[c].best_in(self.held[assoc.firm_of_copy[c]])
+        bar = assoc.copy_empty_rank[c] if top is None else assoc.copy_rank[c][top]
+        self[c] = bar
+        return bar
+
+
+def _idle_stages(
+    pool: list[int],
+    next_pos: list[int],
+    prefs: tuple[tuple[int, ...], ...],
+    crank: tuple[tuple[int, ...], ...],
+    bars: _Bars,
+) -> tuple[int, list[int]]:
+    """Count the coming stages in which every offer would be rejected.
+
+    While nothing is hired, nothing is held or released either, so each
+    such stage moves every offering worker one place down its lifted list
+    under the same bars.  The walk takes those stages in lockstep and
+    stops at the first offer that clears its copy's bar, or at the first
+    stage without offers, which is then the run's closing stage.  Returns
+    the count and the pool as it enters the stage that stopped the walk.
+    """
+    active = pool
+    steps = 0
+    while True:
+        offering = []
+        for w in active:
+            pos = next_pos[w] + steps
+            lifted = prefs[w]
+            if pos < len(lifted):
+                c = lifted[pos]
+                if crank[c][w] < bars[c]:
+                    return steps, active
+                offering.append(w)
+        if not offering:
+            return steps, active
+        active = offering
+        steps += 1
 
 
 def trace_json_lines(assoc: OneToOneMarket, trace: DaTrace) -> list[str]:

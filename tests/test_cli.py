@@ -22,6 +22,7 @@ from matchdecomp import (
     load_market,
     random_market,
     stability,
+    workers_propose,
 )
 from matchdecomp.cli import main
 from matchdecomp.stability import PAIR_BLOCK, StabilityReport
@@ -199,6 +200,24 @@ class TestSolve:
         final = last_json(out)
         held = {c: w for c, w in final["matching"]["by_copy"].items() if w}
         assert held == LAM_WORKER
+
+    def test_workers_trace_prints_every_stage_of_an_idle_stretch(self, capsys, tmp_path):
+        # most of this market's stages reject every offer and are kept as
+        # idle stretches; the count and the trace still cover each stage
+        path = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "gen", "--workers", "6", "--firms", "3", "--max-orders", "3",
+            "--density", "0.8", "--seed", "6", "--out", str(path),
+        )
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "solve", str(path), "--proposing", "workers", "--trace"
+        )
+        assert code == 0
+        numbers = [json.loads(line)["stage"] for line in out.splitlines() if line.startswith('{"')]
+        assert numbers == list(range(1, last_json(out)["stages"] + 1))
+        _, trace = workers_propose(build_associated_market(load_market(str(path)).market))
+        assert len(trace.records) == 10 and len(numbers) == 97
 
     def test_no_release_abort_is_a_clean_exit_3(self, capsys, tmp_path):
         # this generated market ends copy-envious when copies never let a

@@ -1,6 +1,7 @@
 """Deferred acceptance in both directions, with full trace checks."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from matchdecomp import (
     ChoiceFunction,
+    DaStage,
+    DaTrace,
     DeferredAcceptanceError,
     GenParams,
+    IdleStretch,
     LinearOrder,
     ManyToOneMarket,
     OneToOneMatching,
@@ -22,6 +26,8 @@ from matchdecomp import (
     trace_json_lines,
     workers_propose,
 )
+from matchdecomp.bitsets import bit, iter_indices
+from matchdecomp.stability import require_stable
 
 from conftest import (
     LAM_FIRM,
@@ -32,6 +38,110 @@ from conftest import (
     family_association,
     firm_sets,
 )
+
+
+def stage_by_stage_workers_propose(assoc, *, release=True):
+    """Test oracle: worker-proposing DA that runs and records every stage.
+
+    The library takes each run of stages in which every offer is rejected
+    in one step; this loop plays them one at a time, building a
+    :class:`DaStage` for each.
+    """
+    k = len(assoc.source.workers)
+    n_copies = len(assoc.copies)
+    crank = assoc.copy_rank
+    cempty = assoc.copy_empty_rank
+    firm_of = assoc.firm_of_copy
+    orders = assoc.copy_orders
+    prefs = assoc.worker_prefs
+
+    held_by_worker = [None] * k
+    held_by_copy = [None] * n_copies
+    held = [0] * len(assoc.source.firms)
+    next_pos = [0] * k
+    pool = list(range(k))
+    stages = []
+
+    while True:
+        number = len(stages) + 1
+        if number > n_copies * k + 2:
+            raise DeferredAcceptanceError("deferred acceptance failed to terminate")
+        screen = held[:]
+        offers = {}
+        for w in pool:
+            pos = next_pos[w]
+            if pos >= len(prefs[w]):
+                continue
+            target = prefs[w][pos]
+            next_pos[w] = pos + 1
+            offers.setdefault(target, []).append(w)
+
+        valid_offers = {}
+        rejections = {}
+        rejected = []
+        hiring = set()
+        for c in sorted(offers):
+            candidates = offers[c]
+            row = crank[c]
+            f = firm_of[c]
+            top = orders[c].best_in(screen[f])
+            valid = [w for w in candidates if top is None or row[w] < row[top]]
+            valid_offers[c] = tuple(valid)
+
+            previous = held_by_copy[c]
+            best_rank = cempty[c] if previous is None else row[previous]
+            chosen = None
+            for w in valid:
+                if row[w] < best_rank:
+                    best_rank = row[w]
+                    chosen = w
+            if chosen is None:
+                rejected_here = candidates
+            else:
+                rejected_here = [w for w in candidates if w != chosen]
+                if previous is not None:
+                    rejected_here = sorted(rejected_here + [previous])
+                    held_by_worker[previous] = None
+                    held[f] ^= bit(previous)
+                held_by_copy[c] = chosen
+                held_by_worker[chosen] = c
+                held[f] |= bit(chosen)
+                hiring.add(f)
+            if rejected_here:
+                rejections[c] = tuple(rejected_here)
+                rejected.extend(rejected_here)
+
+        if release:
+            envious = sorted(
+                (held_by_worker[w], w)
+                for f in hiring
+                for w in iter_indices(held[f])
+                if orders[held_by_worker[w]].best_in(held[f]) != w
+            )
+            for c, dropped in envious:
+                held_by_copy[c] = None
+                held_by_worker[dropped] = None
+                held[firm_of[c]] ^= bit(dropped)
+                rejections[c] = tuple(sorted(rejections.get(c, ()) + (dropped,)))
+                rejected.append(dropped)
+
+        stages.append(
+            DaStage(
+                number,
+                {c: tuple(ws) for c, ws in offers.items()},
+                rejections,
+                tuple(held_by_worker),
+                n_copies,
+                valid_offers=valid_offers,
+            )
+        )
+        if not rejected:
+            break
+        pool = sorted(set(rejected))
+
+    result = stages[-1].matching
+    require_stable(check_copy_stable(assoc, result), assoc, "deferred acceptance")
+    return result, DaTrace("workers", tuple(stages))
 
 
 def offers_by_label(assoc, stage, receiver_labels, proposer_labels):
@@ -182,6 +292,95 @@ class TestWorkersPropose:
         assoc = family_association(market)
         final, _ = workers_propose(assoc)
         assert final.by_worker == (0, None)
+
+
+def _oracle_families():
+    rng = random.Random(2021)
+    for _ in range(40):
+        yield GenParams(
+            workers=rng.randint(2, 9),
+            firms=rng.randint(1, 4),
+            max_orders=rng.randint(1, 3),
+            density=rng.choice((0.3, 0.5, 0.8, 1.0)),
+            seed=rng.randrange(10**6),
+        )
+    yield GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=1)
+
+
+def _outcome(run, assoc, release):
+    try:
+        final, trace = run(assoc, release=release)
+    except DeferredAcceptanceError as exc:
+        return str(exc)
+    return final.by_worker, trace.stage_count, trace_json_lines(assoc, trace)
+
+
+@pytest.mark.parametrize("release", [True, False])
+@pytest.mark.parametrize(
+    "params",
+    list(_oracle_families()),
+    ids=lambda p: f"k{p.workers}-f{p.firms}-o{p.max_orders}-d{p.density}-s{p.seed}",
+)
+def test_workers_propose_matches_the_stage_by_stage_oracle(params, release):
+    assoc = build_associated_market(random_market(params))
+    assert _outcome(workers_propose, assoc, release) == _outcome(
+        stage_by_stage_workers_propose, assoc, release
+    )
+
+
+class TestIdleStretches:
+    """Runs of all-rejected stages are kept whole and expanded on read."""
+
+    @pytest.fixture()
+    def assoc(self):
+        # every firm has one copy that ranks v alone; v lists A, w lists
+        # A, B, C and x lists B, A, so after stage 1 only v is ever hired
+        cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 3)
+        market = ManyToOneMarket(
+            ("v", "w", "x"), ("A", "B", "C"), (cf, cf, cf), ((0,), (0, 1, 2), (1, 0))
+        )
+        return family_association(market)
+
+    def test_a_stretch_ends_when_every_pool_worker_runs_out(self, assoc):
+        final, trace = workers_propose(assoc)
+        first, stretch, last = trace.records
+        assert isinstance(first, DaStage) and first.number == 1
+        assert stretch == IdleStretch(2, 2, (1, 2), (1, 1), (0, None, None), assoc)
+        assert last.number == 4 and last.offers == {} and last.rejections == {}
+        assert final is last.matching
+        assert final.by_worker == (0, None, None)
+        assert trace.stage_count == len(trace.stages) == 4
+        # x runs out after stage 2 and w after stage 3; the run then ends
+        # on the stage without offers
+        assert [s.offers for s in trace.stages[1:]] == [
+            {1: (1,), 0: (2,)},
+            {2: (1,)},
+            {},
+        ]
+        assert trace.stages == stage_by_stage_workers_propose(assoc)[1].stages
+
+    def test_an_idle_offer_to_a_pickless_copy_passes_the_screen(self, assoc):
+        # B.1 and C.1 hold nothing, so w's offers pass their screens and
+        # are rejected only because neither copy ranks w; A.1 holds v, so
+        # x's offer fails the screen
+        _, trace = workers_propose(assoc)
+        second, third = trace.stages[1:3]
+        assert second.valid_offers == {0: (), 1: (1,)}
+        assert second.rejections == {0: (2,), 1: (1,)}
+        assert third.valid_offers == {2: (1,)}
+        assert third.rejections == {2: (1,)}
+        assert second.by_worker == third.by_worker == (0, None, None)
+
+    def test_an_untraced_run_expands_no_stage(self):
+        market = random_market(
+            GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=1)
+        )
+        assoc = build_associated_market(market)
+        _, trace = workers_propose(assoc)
+        assert "stages" not in vars(trace)
+        assert len(trace.records) < 100 < trace.stage_count
+        assert trace.stage_count == len(trace.stages)
+        assert [s.number for s in trace.stages] == list(range(1, trace.stage_count + 1))
 
 
 class TestTraces:

@@ -167,8 +167,17 @@ class TestRecompose:
 
     def test_decomposition_type_rejects_duplicates(self):
         order = LinearOrder((0,))
-        with pytest.raises(MarketValidationError):
+        with pytest.raises(MarketValidationError) as caught:
             Decomposition(((order, order),))
+        assert str(caught.value) == "decomposition lists an order twice"
+
+    def test_decomposition_type_checks_every_firm(self, reference_market):
+        first, second = decompose_market(reference_market).per_firm
+        with pytest.raises(MarketValidationError) as caught:
+            Decomposition((first, second + second[:1]))
+        assert str(caught.value) == "decomposition lists an order twice"
+        # equal orders in two firms' families are not a repeat
+        assert Decomposition((first, first)).per_firm == (first, first)
 
 
 class TestVerify:
