@@ -14,7 +14,7 @@ a firm without path independence exits 2 from every command, these
 included.  Caps can be overridden through
 MATCHDECOMP_MAX_WORKERS, MATCHDECOMP_MAX_ORDERS and
 MATCHDECOMP_MAX_CANDIDATES.  All output is JSON and deterministic for
-fixed input and flags.
+fixed input and flags; README's "Output format" gives its exact form.
 
 :func:`main` can be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it; caps are read from the
@@ -44,6 +44,7 @@ from .io import (
     load_market,
     read_json,
     render_axiom_report,
+    render_json,
 )
 from .matchings import ManyToOneMatching
 from .stability import (
@@ -63,7 +64,7 @@ _CONCEPTS = {
 
 
 def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(render_json(data))
 
 
 def _assoc_for(doc, caps):

@@ -20,6 +20,9 @@ order or that is not exactly the walk's set of orders.
 Parsing and serializing are inverse: ``parse_market(serialize_market(doc))``
 reproduces the document field for field, including each choice function's
 representation kind.
+
+Every indented document the package writes, market files and command
+reports alike, comes from :func:`render_json`.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ _CHOICE_KEYS = frozenset(["kind", "payload"])
 _STR = frozenset([str])
 _LIST = frozenset([list])
 _PAIR = frozenset([2])
+
+# json's own C string encoder, the one its pure-Python encoder calls per leaf
+_encode = json.encoder.encode_basestring_ascii
+# read only for None, True and False themselves: 1 == True, so 1 would
+# find "true" here
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def market_schema() -> dict:
@@ -336,8 +345,53 @@ def serialize_market(
 
 
 def dump_market(doc: MarketDocument) -> str:
-    data = serialize_market(doc.market, doc.copy_indexing)
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return render_json(serialize_market(doc.market, doc.copy_indexing)) + "\n"
+
+
+def render_json(data) -> str:
+    """Exactly what ``json.dumps`` gives for ``data`` with an indent of 2
+    and sorted keys, but faster.
+
+    With an indent, ``json`` falls back to its pure-Python encoder.
+    Here each string goes through ``json``'s C encoder, a list of strings is
+    one join, and only the nesting is walked in Python; each level is one
+    f-string, which copies its body once where ``+`` would copy it per
+    operand.  A dict key that is not a ``str`` raises ``TypeError`` where
+    ``json`` would convert it.
+    """
+    return _render(data, "\n")
+
+
+def _render(value, newline: str) -> str:
+    # None first: it fills most of a large matching's ``by_copy``
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        try:
+            body = separator.join(map(_encode, value))
+        except TypeError:  # some item is not a string
+            body = separator.join([_render(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [
+                f"{_encode(key)}: {_render(item, inner)}"
+                for key, item in sorted(value.items())
+            ]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def render_axiom_report(report: AxiomReport, workers: tuple[str, ...]) -> dict:

@@ -19,8 +19,10 @@ from matchdecomp import (
     decompose_market,
     decomposition,
     dump_market,
+    enumerate_stable,
     load_market,
     random_market,
+    serialize_market,
     stability,
     workers_propose,
 )
@@ -658,6 +660,105 @@ class TestGen:
             capsys, "gen", "--workers", "3", "--firms", "1", "--max-orders", "2", "--seed", "4"
         )
         assert a == b
+
+
+# every subcommand that prints a report; a check argv names its matching
+_REPORT_COMMANDS = [
+    ["validate"],
+    ["decompose"],
+    ["solve", "--proposing", "copies"],
+    ["solve", "--proposing", "copies", "--trace"],
+    ["solve", "--proposing", "workers"],
+    ["solve", "--proposing", "workers", "--trace"],
+    ["enumerate", "--concept", "stable"],
+    ["enumerate", "--concept", "copy-stable"],
+    ["enumerate", "--concept", "stable-star"],
+    ["enumerate", "--concept", "classical"],
+    ["verify"],
+    ["check", "stable"],
+    ["check", "empty"],
+]
+_REPORT_IDS = [" ".join(argv) for argv in _REPORT_COMMANDS]
+# the CI market of more than 1,000 copies
+_LARGE = GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=1)
+_LARGE_ARGV = [
+    "--workers", "9", "--firms", "3", "--max-orders", "3", "--density", "0.8", "--seed", "1"
+]
+
+
+def oracle_json(data) -> str:
+    """The canonical form every indented document must take."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def canonical_markets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("canonical")
+    small = random_market(GenParams(workers=4, firms=2, max_orders=2, seed=3))
+    table = with_first_firm(small, canonicalize(small.choice_functions[0]))
+    return {
+        "reference": REFERENCE_PATH,
+        "large": write_market(root / "large.json", random_market(_LARGE)),
+        "table": write_market(root / "table.json", table),
+    }
+
+
+def report_argv(argv, market_path, tmp_path) -> list[str]:
+    """``argv`` on ``market_path``, with a check's matching file written:
+    the first stable matching, or the empty one."""
+    if argv[0] != "check":
+        return [argv[0], market_path, *argv[1:]]
+    market = load_market(market_path).market
+    if argv[1] == "stable":
+        matching = enumerate_stable(market)[0].render(market)["by_firm"]
+    else:
+        matching = {}
+    path = tmp_path / f"{argv[1]}.json"
+    path.write_text(json.dumps(matching))
+    return ["check", market_path, str(path)]
+
+
+def report_code(argv) -> int:
+    return 3 if argv == ["check", "empty"] else 0
+
+
+class TestCanonicalOutput:
+    """Every indented document is ``json.dumps(indent=2, sort_keys=True)``
+    of itself, byte for byte; README's "Output format" spells this out."""
+
+    @pytest.mark.parametrize("argv", _REPORT_COMMANDS, ids=_REPORT_IDS)
+    @pytest.mark.parametrize("market", ["reference", "large", "table"])
+    def test_report_is_canonical(self, capsys, tmp_path, canonical_markets, market, argv):
+        full_argv = report_argv(argv, canonical_markets[market], tmp_path)
+        code, out, _ = run_cli(capsys, *full_argv)
+        assert code == report_code(argv)
+        # trace lines are compact, so no "{" but the report's ends a line
+        start = out.index("{\n")
+        assert (start > 0) == ("--trace" in argv)
+        document = out[start:]
+        assert document == oracle_json(json.loads(document))
+
+    def test_gen_is_canonical(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", *_LARGE_ARGV)
+        assert code == 0
+        assert out == oracle_json(serialize_market(random_market(_LARGE)))
+
+    def test_no_command_uses_the_pure_python_encoder(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # json.dumps with indent builds its encoder here; compact dumps do not
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder was used")
+
+        runs = [
+            (report_argv(argv, REFERENCE_PATH, tmp_path), report_code(argv))
+            for argv in _REPORT_COMMANDS
+        ]
+        runs.append((["gen", *_LARGE_ARGV], 0))
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        for argv, expected in runs:
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == expected, argv
 
 
 class TestCaps:

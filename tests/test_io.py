@@ -8,6 +8,8 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import matchdecomp
@@ -35,7 +37,7 @@ from matchdecomp import (
 )
 from matchdecomp.bitsets import mask_of
 from matchdecomp.cli import main
-from matchdecomp.io import _mask_from_labels, _well_formed
+from matchdecomp.io import _mask_from_labels, _well_formed, render_json
 
 from conftest import REFERENCE_PATH, TABLE_CONS_FAIL, m1, with_first_firm
 
@@ -515,3 +517,74 @@ class TestRendering:
         doc = MarketDocument(reference_market)
         assert doc.copy_indexing == {}
         assert "copy_indexing" not in serialize_market(doc.market)
+
+
+def oracle_json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+# labels that exercise every escape: quotes, backslashes, control
+# characters, non-ASCII, an astral character, a lone surrogate, and text
+# that looks like the renderer's own separators
+_AWKWARD_LABELS = ['"', "\\", "\n", "\x00", "\u00e9", "\U0001f600", "\ud800", ", ", "]", ": "]
+
+
+class TestRenderJson:
+    @settings(max_examples=300)
+    @given(_JSON_TREES)
+    def test_equals_json_dumps(self, data):
+        assert render_json(data) == oracle_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [],
+            {},
+            [[]],
+            {"a": {}},
+            (),
+            ["a", 1],
+            [None, "a"],
+            ["a", ["b"], ("c", "d")],
+            [True, False, 0, 1, -1, 2**70, 1.5, float("inf"), float("nan")],
+            {"b": 1, "a": [None], "c": {"e": [], "d": "x"}},
+        ],
+    )
+    def test_fixed_trees(self, data):
+        assert render_json(data) == oracle_json(data)
+
+    @pytest.mark.parametrize("label", _AWKWARD_LABELS)
+    def test_awkward_label(self, label):
+        for data in (label, [label], [label, label], {label: [label]}, [[label], None]):
+            assert render_json(data) == oracle_json(data)
+
+    def test_awkward_labels_together(self):
+        data = {label: list(_AWKWARD_LABELS) for label in _AWKWARD_LABELS}
+        assert render_json(data) == oracle_json(data)
+
+    @pytest.mark.parametrize("data", [{1: "a"}, {None: 1}, [{"a": 1, 2: "b"}]])
+    def test_non_string_key_raises(self, data):
+        with pytest.raises(TypeError):
+            render_json(data)
+
+    @pytest.mark.parametrize("which", ["reference", "table"])
+    def test_market_file_equals_json_dumps(self, which):
+        if which == "reference":
+            doc = load_market(REFERENCE_PATH)
+        else:
+            market = random_market(GenParams(workers=5, firms=2, max_orders=2, seed=3))
+            doc = MarketDocument(
+                with_first_firm(market, canonicalize(market.choice_functions[0]))
+            )
+        data = serialize_market(doc.market, doc.copy_indexing)
+        assert dump_market(doc) == oracle_json(data) + "\n"
