@@ -8,7 +8,6 @@ the two market forms.
 """
 
 from .association import (
-    FirmCopy,
     OneToOneMarket,
     build_associated_market,
     merge_matching,
@@ -41,7 +40,6 @@ from .da import (
     workers_propose,
 )
 from .decomposition import (
-    Decomposition,
     decompose,
     decompose_market,
     verify_decomposition,
@@ -90,10 +88,8 @@ __all__ = [
     "CountInvarianceReport",
     "DaStage",
     "DaTrace",
-    "Decomposition",
     "DecompositionMismatchError",
     "DeferredAcceptanceError",
-    "FirmCopy",
     "FirmRationalityError",
     "GenParams",
     "IdleStretch",

@@ -1,16 +1,18 @@
 """The one-to-one market associated with a decomposed many-to-one market.
 
-Each order of a firm's decomposition becomes a separate "copy" of that
-firm, hiring a single worker according to that order.  Worker preferences
-are lifted to copies under two structural rules:
+The market holds one family of linear orders per firm, and each order
+becomes a separate "copy" of that firm, hiring a single worker according
+to that order: a copy is its order, its firm and its 1-based number in
+the family.  Worker preferences are lifted to copies under two
+structural rules:
 
 1. firms keep their relative order: every copy of a preferred firm ranks
    above every copy of a less preferred firm;
 2. within one firm, copies are ranked by ascending copy number.
 
 Copies of firms a worker finds unacceptable do not appear in the lifted
-list at all.  Copies and lifted lists are derived from the decomposition
-alone, so both rules hold by construction.
+list at all.  Copies, their firms, labels and lifted lists are derived
+from the families alone, so both rules hold by construction.
 
 The two maps between the market forms live here too.  ``merge_matching``
 collapses a one-to-one matching of the copies into a many-to-one matching:
@@ -31,7 +33,7 @@ from functools import cached_property
 from .bitsets import iter_indices
 from .caps import DEFAULT_CAPS, Caps
 from .choices import LinearOrder
-from .decomposition import Decomposition, decompose_market, verify_decomposition
+from .decomposition import decompose_market, verify_decomposition
 from .errors import (
     DecompositionMismatchError,
     FirmRationalityError,
@@ -42,48 +44,40 @@ from .matchings import ManyToOneMatching, OneToOneMatching
 
 
 @dataclass(frozen=True)
-class FirmCopy:
-    """One single-hire copy of a firm: its origin, 1-based number, and order."""
-
-    firm: int
-    number: int
-    order: LinearOrder
-
-
-@dataclass(frozen=True)
 class OneToOneMarket:
-    """The copy market of ``source`` under ``decomposition``.
+    """The copy market of ``source`` under the order families ``per_firm``.
 
-    Use :func:`build_associated_market` to get one: it verifies that each
+    ``per_firm[f][j]`` is firm ``f``'s copy number ``j + 1``; copy numbers
+    are 1-based everywhere user-facing.  Copies are numbered firm by firm,
+    so ``copies`` is the flat tuple of every family's orders.  Use
+    :func:`build_associated_market` to get one: it verifies that each
     firm's family recomposes to its choice function, which this class
     does not check.
     """
 
     source: ManyToOneMarket
-    decomposition: Decomposition
+    per_firm: tuple[tuple[LinearOrder, ...], ...]
 
     def __post_init__(self):
-        if len(self.decomposition.per_firm) != len(self.source.firms):
+        if len(self.per_firm) != len(self.source.firms):
             raise MarketValidationError("decomposition covers a different firm count")
+        # every family passes here, whatever built it; a walked one cannot
+        # repeat, and checking it costs one set
+        for orders in self.per_firm:
+            if len(set(orders)) != len(orders):
+                raise MarketValidationError("decomposition lists an order twice")
 
     @cached_property
-    def copies(self) -> tuple[FirmCopy, ...]:
-        return tuple(
-            FirmCopy(f, j, order)
-            for f, orders in enumerate(self.decomposition.per_firm)
-            for j, order in enumerate(orders, start=1)
-        )
-
-    @cached_property
-    def copy_orders(self) -> tuple[LinearOrder, ...]:
-        return tuple(copy.order for copy in self.copies)
+    def copies(self) -> tuple[LinearOrder, ...]:
+        return tuple(order for orders in self.per_firm for order in orders)
 
     @cached_property
     def copies_by_firm(self) -> tuple[tuple[int, ...], ...]:
-        groups: list[list[int]] = [[] for _ in self.source.firms]
-        for c, copy in enumerate(self.copies):
-            groups[copy.firm].append(c)
-        return tuple(tuple(g) for g in groups)
+        groups, start = [], 0
+        for orders in self.per_firm:
+            groups.append(tuple(range(start, start + len(orders))))
+            start += len(orders)
+        return tuple(groups)
 
     @cached_property
     def worker_prefs(self) -> tuple[tuple[int, ...], ...]:
@@ -95,12 +89,14 @@ class OneToOneMarket:
 
     @cached_property
     def firm_of_copy(self) -> tuple[int, ...]:
-        return tuple(copy.firm for copy in self.copies)
+        return tuple(f for f, orders in enumerate(self.per_firm) for _ in orders)
 
     @cached_property
     def copy_labels(self) -> tuple[str, ...]:
         return tuple(
-            f"{self.source.firms[copy.firm]}.{copy.number}" for copy in self.copies
+            f"{label}.{j}"
+            for label, orders in zip(self.source.firms, self.per_firm)
+            for j in range(1, len(orders) + 1)
         )
 
     @cached_property
@@ -131,35 +127,35 @@ class OneToOneMarket:
     def copy_rank(self) -> tuple[tuple[int, ...], ...]:
         k = len(self.source.workers)
         rows = []
-        for copy in self.copies:
-            row = [len(copy.order.ranking) + 1] * k
-            for pos, w in enumerate(copy.order.ranking):
+        for order in self.copies:
+            row = [len(order.ranking) + 1] * k
+            for pos, w in enumerate(order.ranking):
                 row[w] = pos
             rows.append(tuple(row))
         return tuple(rows)
 
     @cached_property
     def copy_empty_rank(self) -> tuple[int, ...]:
-        return tuple(len(copy.order.ranking) for copy in self.copies)
+        return tuple(len(order.ranking) for order in self.copies)
 
 
 def build_associated_market(
     market: ManyToOneMarket,
-    decomposition: Decomposition | None = None,
+    per_firm: tuple[tuple[LinearOrder, ...], ...] | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> OneToOneMarket:
-    """Assemble the copies over a verified decomposition of the market.
+    """Assemble the copies over verified order families of the market.
 
-    With ``decomposition=None`` the market is decomposed with
-    lexicographic copy numbers.  A supplied decomposition may use any
-    indexing and even a different (e.g. hand-built) order family.  Either
-    way each firm's family is verified here, once: it must recompose to
-    the firm's choice function.
+    With ``per_firm=None`` the market is decomposed with lexicographic
+    copy numbers.  Supplied families may use any indexing and even a
+    different (e.g. hand-built) order family.  Either way each firm's
+    family is verified here, once: it must recompose to the firm's choice
+    function.
     """
-    if decomposition is None:
-        decomposition = decompose_market(market, caps=caps)
-    assoc = OneToOneMarket(market, decomposition)
-    for f, orders in enumerate(decomposition.per_firm):
+    if per_firm is None:
+        per_firm = decompose_market(market, caps=caps)
+    assoc = OneToOneMarket(market, per_firm)
+    for f, orders in enumerate(assoc.per_firm):
         report = verify_decomposition(market.choice_functions[f], orders, caps)
         if not report.passed:
             raise DecompositionMismatchError(
@@ -195,7 +191,7 @@ def split_matching(
         raise MarketValidationError("matching covers a different firm count")
     if len(matching.by_worker) != len(source.workers):
         raise MarketValidationError("matching covers a different worker count")
-    orders = assoc.copy_orders
+    orders = assoc.copies
     by_worker: list[int | None] = [None] * len(source.workers)
     for f, hired in enumerate(matching.firm_masks):
         if hired == 0:

@@ -81,18 +81,15 @@ def member_sets(entries: Sequence[int], k: int) -> tuple[int, ...]:
 
     Bit ``m`` of the result's item ``w`` is set when bit ``w`` of
     ``entries[m]`` is.  The transposition runs in C: the entries are packed
-    into bytes (through an array past 8 workers), each byte lane (workers
-    ``8 * b`` up) is one strided slice, and each worker's bit becomes an
-    ASCII digit read by ``int``.
+    into a little-endian array, each byte lane (workers ``8 * b`` up) is
+    one strided slice, and each worker's bit becomes an ASCII digit read
+    by ``int``.
     """
-    if k <= 8:
-        raw, size = bytes(entries), 1
-    else:
-        # C guarantees at least 16 and 64 bits for these item codes
-        packed = array("H" if k <= 16 else "Q", entries)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        raw, size = packed.tobytes(), packed.itemsize
+    # C guarantees at least 8, 16 and 64 bits for these item codes
+    packed = array("B" if k <= 8 else "H" if k <= 16 else "Q", entries)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    raw, size = packed.tobytes(), packed.itemsize
     # reversed, the bytes run from the last entry's most significant byte,
     # so each lane reads highest position first, as int() wants
     raw = raw[::-1]

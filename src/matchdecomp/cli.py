@@ -95,9 +95,8 @@ def _cmd_validate(args, caps) -> int:
 def _cmd_decompose(args, caps) -> int:
     doc = load_market(args.market, caps)
     market = doc.market
-    decomposition = _assoc_for(doc, caps).decomposition
     firms = []
-    for label, orders in zip(market.firms, decomposition.per_firm):
+    for label, orders in zip(market.firms, _assoc_for(doc, caps).per_firm):
         firms.append(
             {
                 "id": label,

@@ -190,7 +190,7 @@ def copies_propose(
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
     firm_of = assoc.firm_of_copy
-    orders = assoc.copy_orders
+    orders = assoc.copies
 
     held_by_worker: list[int | None] = [None] * k
     held = [0] * len(assoc.source.firms)  # each firm's held workers
@@ -274,7 +274,7 @@ def workers_propose(
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
     firm_of = assoc.firm_of_copy
-    orders = assoc.copy_orders
+    orders = assoc.copies
     prefs = assoc.worker_prefs
 
     held_by_worker: list[int | None] = [None] * k
@@ -409,7 +409,7 @@ class _Bars(dict):
 
     def __missing__(self, c: int) -> int:
         assoc = self.assoc
-        top = assoc.copy_orders[c].best_in(self.held[assoc.firm_of_copy[c]])
+        top = assoc.copies[c].best_in(self.held[assoc.firm_of_copy[c]])
         bar = assoc.copy_empty_rank[c] if top is None else assoc.copy_rank[c][top]
         self[c] = bar
         return bar

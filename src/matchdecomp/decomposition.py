@@ -9,36 +9,20 @@ universe it repeatedly picks one currently chosen worker, removes it, and
 recurses; every maximal pick sequence, read as a preference list, is one
 order of the family.  Workers never picked along a branch are unacceptable
 in that branch's order.  The inverse direction, the union of an order
-family, is ``ChoiceFunction.from_orders``.  A market file's copy indexing
-is matched against the walk where the file is read, in
-:func:`~matchdecomp.io.parse_market`.
+family, is ``ChoiceFunction.from_orders``.  ``decompose_market`` returns
+one family per firm as a plain tuple, ready to be the ``per_firm``
+argument of :class:`~matchdecomp.association.OneToOneMarket`.  A market
+file's copy indexing is matched against the walk where the file is read,
+in :func:`~matchdecomp.io.parse_market`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitsets import bit, iter_indices, mask_of, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import AxiomReport, ChoiceFunction, LinearOrder, check_path_independence
-from .errors import AxiomViolationError, CapExceededError, MarketValidationError
+from .errors import AxiomViolationError, CapExceededError
 from .markets import ManyToOneMarket
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Per-firm order families for a whole market.
-
-    ``per_firm[i][j]`` is firm ``i``'s copy number ``j + 1``; copy numbers
-    are 1-based everywhere user-facing.
-    """
-
-    per_firm: tuple[tuple[LinearOrder, ...], ...]
-
-    def __post_init__(self):
-        for orders in self.per_firm:
-            if len(set(orders)) != len(orders):
-                raise MarketValidationError("decomposition lists an order twice")
 
 
 def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder]:
@@ -144,9 +128,10 @@ def decompose_market(
     market: ManyToOneMarket,
     explicit: dict[int, tuple[LinearOrder, ...]] | None = None,
     caps: Caps = DEFAULT_CAPS,
-) -> Decomposition:
-    """Decompose every firm, keeping an explicit per-firm copy indexing.
+) -> tuple[tuple[LinearOrder, ...], ...]:
+    """Every firm's order family, keeping an explicit per-firm copy indexing.
 
+    Entry ``i`` is firm ``i``'s family; its order ``j`` is copy ``j + 1``.
     A firm in ``explicit`` keeps that family as given and is not walked:
     it is a market file's ``copy_indexing``, which ``parse_market`` has
     already matched against the walk.  Nothing is verified here;
@@ -154,8 +139,7 @@ def decompose_market(
     family, explicit or walked.
     """
     explicit = explicit or {}
-    per_firm = []
-    for i, cf in enumerate(market.choice_functions):
-        orders = explicit[i] if i in explicit else decompose(cf, caps=caps)
-        per_firm.append(tuple(orders))
-    return Decomposition(tuple(per_firm))
+    return tuple(
+        tuple(explicit[i] if i in explicit else decompose(cf, caps=caps))
+        for i, cf in enumerate(market.choice_functions)
+    )

@@ -266,7 +266,7 @@ def _check_one_to_one(
             held[shield_of[c]] |= bit(w)
     picks = [
         order.best_in(held[g]) if held[g] else None
-        for order, g in zip(assoc.copy_orders, shield_of)
+        for order, g in zip(assoc.copies, shield_of)
     ]
     for c, w in enumerate(by_copy):
         if w is None or picks[c] == w:
@@ -376,7 +376,7 @@ def enumerate_copy_stable(
     # guards[w][f]: for each copy of f that ranks w, the workers it ranks
     # above w; the copy picks w from a menu holding w that misses them all
     guards = [[set() for _ in range(n)] for _ in range(k)]
-    for order, f in zip(assoc.copy_orders, assoc.firm_of_copy):
+    for order, f in zip(assoc.copies, assoc.firm_of_copy):
         above = 0
         for w in order.ranking:
             guards[w][f].add(above)

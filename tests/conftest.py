@@ -15,7 +15,6 @@ import pytest
 
 from matchdecomp import (
     ChoiceFunction,
-    Decomposition,
     LinearOrder,
     ManyToOneMarket,
     ManyToOneMatching,
@@ -107,7 +106,7 @@ def family_association(market: ManyToOneMarket):
     by construction, which ``build_associated_market`` re-verifies.
     """
     per_firm = tuple(cf.orders for cf in market.choice_functions)
-    return build_associated_market(market, Decomposition(per_firm))
+    return build_associated_market(market, per_firm)
 
 
 def with_first_firm(market: ManyToOneMarket, cf: ChoiceFunction) -> ManyToOneMarket:

@@ -4,9 +4,7 @@ import pytest
 
 from matchdecomp import (
     ChoiceFunction,
-    Decomposition,
     DecompositionMismatchError,
-    FirmCopy,
     LinearOrder,
     ManyToOneMarket,
     ManyToOneMatching,
@@ -69,30 +67,29 @@ class TestRankTables:
 
 class TestBuildValidation:
     def test_foreign_family_rejected(self, reference_market):
-        wrong = Decomposition(
-            ((LinearOrder((0, 1, 2, 3)),), (LinearOrder((3, 2, 1, 0)),))
-        )
+        wrong = ((LinearOrder((0, 1, 2, 3)),), (LinearOrder((3, 2, 1, 0)),))
         with pytest.raises(DecompositionMismatchError):
             build_associated_market(reference_market, wrong)
 
     def test_firm_count_must_match(self, reference_market):
-        with pytest.raises(MarketValidationError):
-            build_associated_market(reference_market, Decomposition(((),)))
-        with pytest.raises(MarketValidationError):
-            OneToOneMarket(reference_market, Decomposition(((),)))
+        message = "decomposition covers a different firm count"
+        with pytest.raises(MarketValidationError, match=f"^{message}$"):
+            build_associated_market(reference_market, ((),))
+        with pytest.raises(MarketValidationError, match=f"^{message}$"):
+            OneToOneMarket(reference_market, ((),))
 
     def test_explicit_family_is_verified_at_the_gate(self, reference_market):
         # decompose_market keeps an explicit family as given; the builder
         # still verifies it
         explicit = {0: (LinearOrder((0, 1, 2, 3)),)}
-        decomposition = decompose_market(reference_market, explicit)
-        assert decomposition.per_firm[0] == explicit[0]
+        per_firm = decompose_market(reference_market, explicit)
+        assert per_firm[0] == explicit[0]
         with pytest.raises(DecompositionMismatchError):
-            build_associated_market(reference_market, decomposition)
+            build_associated_market(reference_market, per_firm)
 
     def test_default_build_uses_lexicographic_indexing(self, reference_assoc_lex):
         sequences = [
-            [copy.order.ranking for copy in map(reference_assoc_lex.copies.__getitem__, group)]
+            [reference_assoc_lex.copies[c].ranking for c in group]
             for group in reference_assoc_lex.copies_by_firm
         ]
         for group in sequences:
@@ -104,7 +101,7 @@ class TestBuildValidation:
         market = ManyToOneMarket(
             ("v", "w"), ("A", "B"), (empty, real), ((0, 1), (1, 0))
         )
-        assoc = build_associated_market(market, Decomposition(((), (LinearOrder((0, 1)),))))
+        assoc = build_associated_market(market, ((), (LinearOrder((0, 1)),)))
         assert assoc.copy_labels == ("B.1",)
         assert assoc.worker_prefs == ((0,), (0,))
 
@@ -141,8 +138,16 @@ class TestMatchingContainers:
     def test_copy_assignments_reject_unknown_labels(
         self, reference_assoc, assignment, message
     ):
-        with pytest.raises(MarketValidationError, match=message):
+        with pytest.raises(MarketValidationError) as caught:
             OneToOneMatching.from_copy_assignments(reference_assoc, assignment)
+        assert str(caught.value) == message
+
+    def test_copy_assignments_reject_a_worker_assigned_twice(self, reference_assoc):
+        with pytest.raises(MarketValidationError) as caught:
+            OneToOneMatching.from_copy_assignments(
+                reference_assoc, {"f1.1": "w1", "f2.1": "w1"}
+            )
+        assert str(caught.value) == "worker w1 assigned twice"
 
     def test_copies_hold_at_most_one_worker(self):
         with pytest.raises(MarketValidationError):
@@ -158,8 +163,3 @@ class TestMatchingContainers:
         a = OneToOneMatching((None, 0), 2)
         b = OneToOneMatching((0, None), 2)
         assert sorted([b, a], key=lambda m: m.key) == [a, b]
-
-    def test_firm_copy_is_a_plain_record(self):
-        copy = FirmCopy(0, 1, LinearOrder((1, 0)))
-        assert copy.number == 1
-        assert copy.order.best_in(0b11) == 1

@@ -23,7 +23,7 @@ from matchdecomp import (
     replay_witness,
 )
 from matchdecomp import bitsets
-from matchdecomp.bitsets import bit, iter_indices, member_sets, menu_sets
+from matchdecomp.bitsets import bit, iter_indices, iter_submasks, member_sets, menu_sets
 from matchdecomp.choices import (
     AxiomReport,
     _consistency_witness,
@@ -256,6 +256,23 @@ class TestConstructors:
         with pytest.raises(MarketValidationError):
             cf.choose(0b100)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LinearOrder((0, -1)), "negative worker index in (0, -1)"),
+            (lambda: ChoiceFunction.from_table((), -1), "universe size must be nonnegative"),
+            (
+                lambda: ChoiceFunction.from_subset_ranking((0b01, 0b100), 2),
+                "subset 0b100 is outside the universe",
+            ),
+        ],
+        ids=["order-negative", "table-universe", "ranking-outside"],
+    )
+    def test_each_refusal_reads_exactly(self, build, message):
+        with pytest.raises(MarketValidationError) as caught:
+            build()
+        assert str(caught.value) == message
+
 
 class TestChooseSemantics:
     def test_subset_ranking_takes_first_contained(self):
@@ -283,6 +300,10 @@ class TestChooseSemantics:
         assert table.kind == "table"
         for menu in range(1 << cf.universe_size):
             assert table.choose(menu) == cf.choose(menu)
+
+    def test_canonicalize_keeps_a_table_firm(self):
+        cf = ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3)
+        assert canonicalize(cf) is cf
 
     def test_universe_cap_enforced(self):
         caps = Caps(max_workers=2, max_orders=10, max_candidates=100)
@@ -336,6 +357,36 @@ class TestAxioms:
     def test_replay_rejects_passing_reports(self):
         cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 1)
         assert replay_witness(cf, check_lad(cf)) is False
+
+    @pytest.mark.parametrize(
+        "cf, report",
+        [
+            # the worker itself removed: C(111) holds w0 and C(110) cannot
+            (
+                ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3),
+                AxiomReport("substitutability", False, {"menu": 0b111, "worker": 0, "removed": 0}),
+            ),
+            # w2 removed from a menu it is not on
+            (
+                ChoiceFunction.from_table(TABLE_SUBST_FAIL, 3),
+                AxiomReport("substitutability", False, {"menu": 0b011, "worker": 0, "removed": 2}),
+            ),
+            # C(011) hires two and C(100) one, but 011 is not inside 100
+            (
+                ChoiceFunction.from_orders((LinearOrder((2, 0)), LinearOrder((2, 1))), 3),
+                AxiomReport("law-of-aggregate-demand", False, {"smaller": 0b011, "larger": 0b100}),
+            ),
+        ],
+        ids=["substitutability-self", "substitutability-off-menu", "lad-not-nested"],
+    )
+    def test_replay_rejects_malformed_witnesses(self, cf, report):
+        assert replay_witness(cf, report) is False
+
+    def test_replay_refuses_an_unknown_axiom(self):
+        cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 1)
+        with pytest.raises(MarketValidationError) as caught:
+            replay_witness(cf, AxiomReport("monotonicity", False, {}))
+        assert str(caught.value) == "unknown axiom 'monotonicity'"
 
     @given(choice_tables())
     @settings(max_examples=200)
@@ -454,7 +505,7 @@ class TestMenuSetKernels:
 
     @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 15, 16])
     def test_member_sets_match_per_menu_bit_extraction(self, k):
-        # the points where the packing (bytes, then 16-bit array items) or
+        # the points where the packing (8-bit, then 16-bit array items) or
         # the byte lane of the last worker changes
         rng = random.Random(k)
         table = [rng.randrange(1 << k) & menu for menu in range(1 << k)]
@@ -463,6 +514,10 @@ class TestMenuSetKernels:
         assert member_sets(table, k) == tuple(menus_holding(table, w) for w in workers)
         assert menu_sets(k) == tuple(menus_holding(menus, w) for w in workers)
         assert member_sets(menus, k) == menu_sets(k)
+
+    def test_iter_submasks_runs_down_to_zero(self):
+        assert list(iter_submasks(0b1010)) == [0b1010, 0b1000, 0b0010, 0]
+        assert list(iter_submasks(0)) == [0]
 
     def test_member_sets_do_not_depend_on_byte_order(self, monkeypatch):
         def big_endian_array(code, entries):

@@ -1,12 +1,17 @@
 """The command-line surface, driven through main()."""
 
 import json
+import os
+import shutil
+import subprocess
 import sys
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import matchdecomp
 from matchdecomp import (
     ChoiceFunction,
     GenParams,
@@ -932,3 +937,47 @@ class TestParserReuse:
         assert caught.value.code == 0
         assert capsys.readouterr().out.startswith("usage: matchdecomp enumerate")
         assert run_cli(capsys, *argv) == before
+
+
+class TestPackageSurface:
+    """The package as users start and import it."""
+
+    def run_module(self, *argv):
+        # the package's own parent first, so the subprocess imports this tree
+        src = str(Path(matchdecomp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "matchdecomp", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        result = self.run_module("validate", REFERENCE_PATH)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run_cli(capsys, "validate", REFERENCE_PATH)[1]
+
+    def test_python_dash_m_without_a_command_is_a_usage_error(self):
+        result = self.run_module()
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("usage: matchdecomp")
+
+    def test_every_exported_name_resolves_once(self):
+        names = matchdecomp.__all__
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert getattr(matchdecomp, name) is not None, name
+
+    def test_the_readme_library_example_runs(self, tmp_path, monkeypatch):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+        code = section.split("\n## ", 1)[0].split("```python\n", 1)[1].split("```", 1)[0]
+        shutil.copy(REFERENCE_PATH, tmp_path / "market.json")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(compile(code, str(readme), "exec"), namespace)
+        assert namespace["report"].passed
+        assert len(namespace["assoc"].copies) == 12

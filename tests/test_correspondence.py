@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from matchdecomp import (
     FirmRationalityError,
+    CountInvarianceReport,
     GenParams,
     ManyToOneMatching,
+    MarketValidationError,
+    OneToOneMatching,
     check_count_invariance,
     enumerate_copy_stable,
     enumerate_stable,
@@ -58,11 +61,38 @@ class TestMergeSplit:
         merged = merge_matching(reference_assoc, m11(reference_assoc, {}))
         assert merged == m1(reference_market, {})
 
+    @pytest.mark.parametrize(
+        "convert, matching, message",
+        [
+            (
+                merge_matching,
+                OneToOneMatching((None,) * 4, 11),
+                "matching covers a different copy count",
+            ),
+            (
+                split_matching,
+                ManyToOneMatching((None,) * 4, 3),
+                "matching covers a different firm count",
+            ),
+            (
+                split_matching,
+                ManyToOneMatching((None,) * 3, 2),
+                "matching covers a different worker count",
+            ),
+        ],
+        ids=["merge-copies", "split-firms", "split-workers"],
+    )
+    def test_size_refusals_read_exactly(self, reference_assoc, convert, matching, message):
+        with pytest.raises(MarketValidationError) as caught:
+            convert(reference_assoc, matching)
+        assert str(caught.value) == message
+
 
 class TestCorrespondence:
     def test_reference_passes_four_to_four(self, reference_assoc):
         report = verify_correspondence(reference_assoc)
         assert report.passed
+        assert bool(report) is True
         assert report.problems == ()
         assert len(report.stable) == 4
         assert len(report.copy_stable) == 4
@@ -95,6 +125,7 @@ class TestCorrespondenceFailures:
         stable = [m for m in enumerate_stable(reference_market) if m != missing]
         report = verify_correspondence(reference_assoc, stable=stable)
         assert not report.passed
+        assert bool(report) is False
         assert report.problems == (
             "merge image (0, 0, 1, 1) is not stable",
             "3 stable vs 4 copy-stable matchings",
@@ -159,6 +190,14 @@ class TestCountInvariance:
         assert report.lad_by_firm == (False,)
         assert report.verdict == "premise-unmet"
         assert report.passed  # informational, not a failure
+
+    @pytest.mark.parametrize(
+        "verdict, truth", [("pass", True), ("premise-unmet", True), ("fail", False)]
+    )
+    def test_report_truth_is_its_verdict(self, verdict, truth):
+        report = CountInvarianceReport((True,), verdict, (), (), ())
+        assert report.passed is truth
+        assert bool(report) is truth
 
     def test_three_worker_market(self, three_worker_market):
         assoc = family_association(three_worker_market)

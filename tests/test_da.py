@@ -52,7 +52,7 @@ def stage_by_stage_workers_propose(assoc, *, release=True):
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
     firm_of = assoc.firm_of_copy
-    orders = assoc.copy_orders
+    orders = assoc.copies
     prefs = assoc.worker_prefs
 
     held_by_worker = [None] * k
@@ -281,7 +281,7 @@ class TestWorkersPropose:
         _, trace = workers_propose(assoc)
         labels, workers = assoc.copy_labels, market.workers
         f11 = labels.index("f1.1")
-        assert [workers[w] for w in assoc.copies[f11].order.ranking] == ["w1", "w4", "w3"]
+        assert [workers[w] for w in assoc.copies[f11].ranking] == ["w1", "w4", "w3"]
         first = trace.stages[0]
         assert [workers[w] for w in first.valid_offers[f11]] == ["w2", "w4"]
         assert [workers[w] for w in first.rejections[f11]] == ["w2"]

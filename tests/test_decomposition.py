@@ -12,11 +12,11 @@ from matchdecomp import (
     Caps,
     CapExceededError,
     ChoiceFunction,
-    Decomposition,
     DecompositionMismatchError,
     LinearOrder,
     ManyToOneMarket,
     MarketValidationError,
+    OneToOneMarket,
     decompose,
     decompose_market,
     parse_market,
@@ -100,9 +100,9 @@ class TestDecomposeReference:
 
     def test_explicit_indexing_returned_verbatim(self, reference_doc):
         market = reference_doc.market
-        decomposition = decompose_market(market, reference_doc.copy_indexing)
-        assert as_labels(decomposition.per_firm[0], market.workers) == GOLDEN_ORDERS_F1
-        assert as_labels(decomposition.per_firm[1], market.workers) == GOLDEN_ORDERS_F2
+        first, second = decompose_market(market, reference_doc.copy_indexing)
+        assert as_labels(first, market.workers) == GOLDEN_ORDERS_F1
+        assert as_labels(second, market.workers) == GOLDEN_ORDERS_F2
 
     def test_default_indexing_is_lexicographic(self, reference_market):
         orders = decompose(reference_market.choice_functions[1])
@@ -166,18 +166,22 @@ class TestRecompose:
         assert cf.choose(1) == 1
 
     def test_decomposition_type_rejects_duplicates(self):
+        # the copy market is the one gate every family passes
         order = LinearOrder((0,))
+        cf = ChoiceFunction.from_orders((order,), 1)
+        market = ManyToOneMarket(("w",), ("A",), (cf,), ((0,),))
         with pytest.raises(MarketValidationError) as caught:
-            Decomposition(((order, order),))
+            OneToOneMarket(market, ((order, order),))
         assert str(caught.value) == "decomposition lists an order twice"
 
     def test_decomposition_type_checks_every_firm(self, reference_market):
-        first, second = decompose_market(reference_market).per_firm
+        first, second = decompose_market(reference_market)
         with pytest.raises(MarketValidationError) as caught:
-            Decomposition((first, second + second[:1]))
+            OneToOneMarket(reference_market, (first, second + second[:1]))
         assert str(caught.value) == "decomposition lists an order twice"
         # equal orders in two firms' families are not a repeat
-        assert Decomposition((first, first)).per_firm == (first, first)
+        assoc = OneToOneMarket(reference_market, (first, first))
+        assert assoc.per_firm == (first, first)
 
 
 class TestVerify:

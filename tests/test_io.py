@@ -420,7 +420,7 @@ def _seed_documents():
         market = random_market(
             GenParams(workers=2, firms=2, max_orders=2, density=0.8, seed=seed)
         )
-        indexing = dict(enumerate(decompose_market(market).per_firm))
+        indexing = dict(enumerate(decompose_market(market)))
         docs.append(serialize_market(market, indexing))
         cfs = (
             ChoiceFunction.from_table(canonicalize(market.choice_functions[0]).table, 2),

@@ -12,7 +12,6 @@ from matchdecomp import (
     Caps,
     CapExceededError,
     ChoiceFunction,
-    Decomposition,
     DeferredAcceptanceError,
     GenParams,
     LinearOrder,
@@ -32,8 +31,10 @@ from matchdecomp import (
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
+    merge_matching,
     random_market,
     split_matching,
+    trace_json_lines,
     workers_propose,
 )
 from matchdecomp import stability
@@ -42,6 +43,7 @@ from matchdecomp.stability import COPY_ENVY, FIRM_BLOCK, PAIR_BLOCK, WORKER_BLOC
 from conftest import (
     GOLDEN_COPY_STABLE,
     GOLDEN_STABLE,
+    MU_FIRM,
     LAM_FIRM,
     LAM_WORKER,
     copy_sets,
@@ -90,8 +92,19 @@ class TestManyToOne:
         assert found == [{"X": ["a"], "Y": ["b"]}, {"X": ["b"], "Y": ["a"]}]
 
     def test_shape_mismatch_rejected(self, reference_market):
-        with pytest.raises(MarketValidationError):
-            check_stable(reference_market, ManyToOneMatching((None,), 2))
+        for matching, message in (
+            (ManyToOneMatching((None,), 2), "matching covers a different worker count"),
+            (ManyToOneMatching((None,) * 4, 3), "matching covers a different firm count"),
+        ):
+            with pytest.raises(MarketValidationError) as caught:
+                check_stable(reference_market, matching)
+            assert str(caught.value) == message
+
+    def test_report_truth_is_its_verdict(self, reference_market):
+        assert bool(check_stable(reference_market, m1(reference_market, MU_FIRM))) is True
+        report = check_stable(reference_market, m1(reference_market, {}))
+        assert report.case == PAIR_BLOCK
+        assert bool(report) is False
 
     def test_candidate_cap(self, reference_market):
         # 11 search nodes, each charging its worker's two firms and staying
@@ -171,6 +184,20 @@ class TestCopyStable:
         )
         assert report.case == "pair-block"
         assert report.witness == {"copy": 0, "worker": 0}
+
+    @pytest.mark.parametrize("check", [check_copy_stable, check_classical_stable])
+    @pytest.mark.parametrize(
+        "workers, copies, message",
+        [
+            (3, 12, "matching covers a different worker count"),
+            (4, 11, "matching covers a different copy count"),
+        ],
+        ids=["workers", "copies"],
+    )
+    def test_size_refusals_read_exactly(self, reference_assoc, check, workers, copies, message):
+        with pytest.raises(MarketValidationError) as caught:
+            check(reference_assoc, OneToOneMatching((None,) * workers, copies))
+        assert str(caught.value) == message
 
     def test_classical_set_is_a_single_matching(self, reference_assoc):
         found = [copy_sets(reference_assoc, m) for m in enumerate_classical_stable(reference_assoc)]
@@ -742,13 +769,11 @@ def association(market: ManyToOneMarket, family: str, seed: int):
     ``all`` family with each firm's copy numbers shuffled."""
     if family == "given":
         return family_association(market)
-    decomposition = decompose_market(market)
+    per_firm = decompose_market(market)
     if family == "shuffled":
         rng = random.Random(seed)
-        decomposition = Decomposition(
-            tuple(tuple(rng.sample(orders, len(orders))) for orders in decomposition.per_firm)
-        )
-    return build_associated_market(market, decomposition)
+        per_firm = tuple(tuple(rng.sample(orders, len(orders))) for orders in per_firm)
+    return build_associated_market(market, per_firm)
 
 
 def split_image(assoc) -> list[OneToOneMatching]:
@@ -858,6 +883,60 @@ class TestFirmPlacementSearch:
             "stopped there, so 21 is a lower bound",
         ):
             enumerate_copy_stable(reference_assoc, Caps(max_candidates=20))
+
+
+class _Unreadable:
+    """A data descriptor that fails every read, so it also hides a value
+    a ``cached_property`` has already stored on the instance."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        raise AssertionError(f"copy-level code read ChoiceFunction.{self.name}")
+
+    def __set__(self, obj, value):
+        raise AssertionError(f"copy-level code wrote ChoiceFunction.{self.name}")
+
+
+def copy_level_results(assoc):
+    """Everything the copy-level code derives from ``assoc``, as plain data."""
+    results = []
+    for matching, trace in (copies_propose(assoc), workers_propose(assoc)):
+        merged = merge_matching(assoc, matching)
+        results += [
+            matching,
+            trace_json_lines(assoc, trace),
+            check_copy_stable(assoc, matching),
+            check_classical_stable(assoc, matching),
+            merged,
+            split_matching(assoc, merged),
+        ]
+    copy_stable = enumerate_copy_stable(assoc)
+    results += [copy_stable, enumerate_classical_stable(assoc)]
+    results += [split_matching(assoc, merge_matching(assoc, m)) for m in copy_stable]
+    return results
+
+
+@pytest.mark.parametrize("seed", [None, *range(1, 9)])
+def test_copy_level_code_never_reads_a_choice_function(seed, reference_assoc, monkeypatch):
+    # once the copy market is built, the DAs, checkers, enumerators and the
+    # two maps run on the copies' orders alone; odd seeds give the first
+    # firm an explicit table, so both kinds of firm are covered
+    if seed is None:
+        assoc = reference_assoc
+    else:
+        market = random_market(
+            GenParams(workers=4 + seed % 2, firms=2 + seed % 2, max_orders=2, seed=seed)
+        )
+        if seed % 2:
+            market = with_first_firm(market, canonicalize(market.choice_functions[0]))
+        assoc = build_associated_market(market)
+    expected = copy_level_results(assoc)
+    for name in ("choose", "_full_table", "_menu_sets", "_cover_pair_failures",
+                 "_path_independence"):
+        monkeypatch.setattr(ChoiceFunction, name, _Unreadable(name))
+    assert copy_level_results(assoc) == expected
 
 
 @given(st.integers(min_value=0, max_value=10_000))
