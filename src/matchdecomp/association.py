@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .bitsets import iter_indices
 from .caps import DEFAULT_CAPS, Caps
@@ -62,10 +63,20 @@ class OneToOneMarket:
         if len(self.per_firm) != len(self.source.firms):
             raise MarketValidationError("decomposition covers a different firm count")
         # every family passes here, whatever built it; a walked one cannot
-        # repeat, and checking it costs one set
-        for orders in self.per_firm:
+        # repeat or leave the market, and checking it costs one set and
+        # one max per order
+        k = len(self.source.workers)
+        ranking = attrgetter("ranking")
+        for firm, orders in zip(self.source.firms, self.per_firm):
             if len(set(orders)) != len(orders):
                 raise MarketValidationError("decomposition lists an order twice")
+            # an empty ranking has no max
+            top = max(map(max, filter(None, map(ranking, orders))), default=-1)
+            if top >= k:
+                raise MarketValidationError(
+                    f"decomposition of {firm} ranks worker index {top}, outside "
+                    f"the market's {k} workers"
+                )
 
     @cached_property
     def copies(self) -> tuple[LinearOrder, ...]:

@@ -11,7 +11,7 @@ once its work passes the cap.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CapExceededError, MarketValidationError
 
@@ -48,8 +48,8 @@ _ENV_FIELDS = {
 }
 
 
-def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
-    """Return ``base`` with any MATCHDECOMP_MAX_* environment overrides applied."""
+def caps_from_env() -> Caps:
+    """``DEFAULT_CAPS`` with any MATCHDECOMP_MAX_* environment overrides applied."""
     overrides = {}
     for var, field in _ENV_FIELDS.items():
         raw = os.environ.get(var)
@@ -64,7 +64,7 @@ def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
         if value < 1:
             raise MarketValidationError(f"{var} must be positive, got {value}")
         overrides[field] = value
-    return Caps(**{**base.__dict__, **overrides}) if overrides else base
+    return replace(DEFAULT_CAPS, **overrides) if overrides else DEFAULT_CAPS
 
 
 def require_universe(size: int, caps: Caps) -> None:

@@ -9,11 +9,21 @@ universe it repeatedly picks one currently chosen worker, removes it, and
 recurses; every maximal pick sequence, read as a preference list, is one
 order of the family.  Workers never picked along a branch are unacceptable
 in that branch's order.  The inverse direction, the union of an order
-family, is ``ChoiceFunction.from_orders``.  ``decompose_market`` returns
-one family per firm as a plain tuple, ready to be the ``per_firm``
-argument of :class:`~matchdecomp.association.OneToOneMarket`.  A market
-file's copy indexing is matched against the walk where the file is read,
-in :func:`~matchdecomp.io.parse_market`.
+family, is ``ChoiceFunction.from_orders``.
+
+``verify_decomposition`` checks that identity for a family, whatever
+produced it, in one pass over the family's rankings in sorted order: all
+menus go down a ranking together as one bitset, and a ranking starts
+where it leaves the prefix it shares with the previous one, since the
+menus that miss a shared prefix pick alike.  The check reads the family
+as a set of orders, so its result does not depend on their order in the
+family.
+
+``decompose_market`` returns one family per firm as a plain tuple, ready
+to be the ``per_firm`` argument of
+:class:`~matchdecomp.association.OneToOneMarket`.  A market file's copy
+indexing is matched against the walk where the file is read, in
+:func:`~matchdecomp.io.parse_market`.
 """
 
 from __future__ import annotations
@@ -65,28 +75,21 @@ def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder
     return result
 
 
-def _order_trie(orders) -> dict:
-    """Prefix trie of the orders' rankings: worker index -> subtrie."""
-    root: dict = {}
-    for order in orders:
-        node = root
-        for w in order.ranking:
-            node = node.setdefault(w, {})
-    return root
-
-
 def verify_decomposition(
     cf: ChoiceFunction, orders: tuple[LinearOrder, ...], caps: Caps = DEFAULT_CAPS
 ) -> AxiomReport:
     """Check that the union of the orders' maxima equals ``cf`` menu by menu.
 
-    Orders sharing a prefix pick alike on every menu that misses the
-    prefix, and a decomposition's orders are pick sequences of one choice
-    function, so they share long prefixes.  The family is therefore walked
-    as a prefix trie, with all ``2**k`` menus going down it together as one
-    bitset (bit ``m`` stands for menu ``m``): at an edge labelled ``w`` the
-    menus containing ``w`` stop, with ``w`` as their pick on that branch,
-    and the rest go on into the subtrie.  Each trie edge is visited once.
+    All ``2**k`` menus go down a ranking together as one bitset (bit ``m``
+    stands for menu ``m``): at worker ``w`` the menus containing ``w`` stop,
+    with ``w`` as their pick, and the rest go on.  Rankings that share a
+    prefix pick alike on every menu that misses it, and a decomposition's
+    orders, pick sequences of one function, share long prefixes.  Sorting
+    puts those rankings next to each other, so the pass keeps, for each
+    depth ``d``, the menus holding none of the previous ranking's first
+    ``d`` workers, and starts each ranking after the prefix it shares with
+    the previous one.  The picks are a union over the family, so the order
+    of the family does not change them; sorting only shares the work.
     Duplicate orders, empty orders and orders that are prefixes of others
     need no special case.  The picks are then compared with the function's
     menu sets (bit ``m`` of worker ``w``'s set is on when ``w`` is in
@@ -96,20 +99,27 @@ def verify_decomposition(
     """
     k = cf.universe_size
     require_universe(k, caps)
-    all_menus = (1 << (1 << k)) - 1
     has = menu_sets(k)
     picked = [0] * k  # the menus where some order's best worker is w
-    stack = [(_order_trie(orders), all_menus)]
-    while stack:
-        node, menus = stack.pop()
-        for w, child in node.items():
+    # left[d]: the menus holding none of the previous ranking's first d workers
+    left = [(1 << (1 << k)) - 1]
+    rankings = sorted(order.ranking for order in orders)
+    for previous, ranking in zip([()] + rankings, rankings):
+        shared = 0
+        for a, b in zip(previous, ranking):
+            if a != b:
+                break
+            shared += 1
+        del left[shared + 1 :]
+        menus = left[shared]
+        for w in ranking[shared:]:
             # a hand-built family may name workers outside the universe,
             # which are on no menu
-            present = menus & has[w] if w < k else 0
-            if present:
+            if w < k:
+                present = menus & has[w]
                 picked[w] |= present
-            if child and present != menus:
-                stack.append((child, menus ^ present))
+                menus ^= present
+            left.append(menus)
     diff = 0
     for got, want in zip(picked, cf._menu_sets):
         diff |= got ^ want

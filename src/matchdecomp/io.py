@@ -146,9 +146,18 @@ def _parse_choice(spec: dict, widx: dict[str, int], firm: str) -> ChoiceFunction
         raise MarketValidationError(
             f"table of {firm} covers {len(entries)} of {1 << k} menus"
         )
-    return ChoiceFunction.from_table(
-        tuple(entries[m] for m in range(1 << k)), k
-    )
+    table = tuple(entries[m] for m in range(1 << k))
+    try:
+        return ChoiceFunction.from_table(table, k)
+    except MarketValidationError:
+        # a complete table of known labels fails its checks only by
+        # choosing outside a menu
+        menu, chosen = next((m, c) for m, c in enumerate(table) if c & ~m)
+        workers = tuple(widx)
+        raise MarketValidationError(
+            f"table of {firm} chooses {labels_of(chosen, workers)} from menu "
+            f"{labels_of(menu, workers)}"
+        ) from None
 
 
 def _labels(value) -> bool:
@@ -282,10 +291,10 @@ def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
         # the walk raises first when the firm is not path independent
         walked = decompose(market.choice_functions[f], caps)
         if len(set(explicit)) != len(explicit):
-            raise MarketValidationError("explicit copy indexing repeats an order")
+            raise MarketValidationError(f"copy_indexing of {firm} repeats an order")
         if set(explicit) != set(walked):
             raise DecompositionMismatchError(
-                "explicit copy indexing is not the decomposition order set"
+                f"copy_indexing of {firm} is not the decomposition order set"
             )
         copy_indexing[f] = explicit
     return MarketDocument(market, copy_indexing)

@@ -13,6 +13,7 @@ from matchdecomp import (
     OneToOneMatching,
     build_associated_market,
     decompose_market,
+    verify_decomposition,
 )
 
 
@@ -77,6 +78,24 @@ class TestBuildValidation:
             build_associated_market(reference_market, ((),))
         with pytest.raises(MarketValidationError, match=f"^{message}$"):
             OneToOneMarket(reference_market, ((),))
+
+    def test_workers_outside_the_market_are_refused(self):
+        # worker 5 is on no menu, so the family recomposes the firm; the
+        # copy market still refuses it, since its rank tables cover the
+        # market's workers only
+        cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 2)
+        market = ManyToOneMarket(("v", "w"), ("A",), (cf,), ((0,), ()))
+        family = (LinearOrder((0, 5)),)
+        assert verify_decomposition(cf, family).passed
+        message = (
+            "decomposition of A ranks worker index 5, outside the market's 2 workers"
+        )
+        with pytest.raises(MarketValidationError, match=f"^{message}$"):
+            build_associated_market(market, (family,))
+        # an empty order beside it changes nothing; the market's own workers pass
+        with pytest.raises(MarketValidationError, match=f"^{message}$"):
+            OneToOneMarket(market, ((LinearOrder(()), LinearOrder((5,))),))
+        assert OneToOneMarket(market, ((LinearOrder((1, 0)),),)).copies
 
     def test_explicit_family_is_verified_at_the_gate(self, reference_market):
         # decompose_market keeps an explicit family as given; the builder

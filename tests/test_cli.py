@@ -155,6 +155,22 @@ class TestValidate:
         assert out == ""
         assert_input_error(code, err)
 
+    def test_table_choosing_outside_its_menu_names_firm_and_labels(
+        self, capsys, tmp_path
+    ):
+        table = [[[], []], [["a"], ["b"]], [["b"], ["b"]], [["a", "b"], ["a"]]]
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({
+            "workers": ["a", "b"],
+            "firms": [{"id": "F", "choice": {"kind": "table", "payload": table}}],
+            "worker_prefs": {"a": ["F"], "b": ["F"]},
+        }))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            json.dumps({"error": "table of F chooses ['b'] from menu ['a']"}) + "\n"
+        )
+
 
 class TestDecompose:
     def test_explicit_indexing_is_verbatim(self, capsys):

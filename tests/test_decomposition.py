@@ -115,7 +115,7 @@ class TestDecomposeReference:
         with pytest.raises(DecompositionMismatchError) as caught:
             parse_market(data)
         assert str(caught.value) == (
-            "explicit copy indexing is not the decomposition order set"
+            "copy_indexing of f1 is not the decomposition order set"
         )
 
     def test_explicit_rejects_repeats(self, reference_market):
@@ -123,7 +123,7 @@ class TestDecomposeReference:
         data = serialize_market(reference_market, {0: orders[:1] * 2})
         with pytest.raises(MarketValidationError) as caught:
             parse_market(data)
-        assert str(caught.value) == "explicit copy indexing repeats an order"
+        assert str(caught.value) == "copy_indexing of f1 repeats an order"
 
 
 class TestDecomposeEdges:
@@ -202,7 +202,7 @@ class TestVerify:
         cf = ChoiceFunction.from_orders((), 2)
         assert verify_decomposition(cf, ()).passed
 
-    def test_trie_walk_matches_the_menu_scan(self):
+    def test_sorted_pass_matches_the_menu_scan(self):
         # seeded families: exact decompositions of order unions and broken
         # copies of them, checked against their own function and against a
         # random table, so that failing witnesses are compared too; k = 8

@@ -248,6 +248,13 @@ class TestLabelLookup:
                 "table of A lists a menu twice",
             ),
             (_one_firm_document(_FULL_TABLE[1:]), "table of A covers 3 of 4 menus"),
+            # the first menu in mask order whose value leaves it
+            (
+                _one_firm_document(
+                    _with_pairs({2: [["w2"], ["w1", "w2"]], 1: [["w1"], ["w2"]]})
+                ),
+                "table of A chooses ['w2'] from menu ['w1']",
+            ),
             (
                 _one_firm_document([["w2"], ["w1", "zz"]], "orders"),
                 "unknown worker 'zz' in orders of A",
@@ -283,6 +290,7 @@ class TestLabelLookup:
             "menu-before-value",
             "menu-twice",
             "coverage",
+            "outside-menu",
             "orders-unknown",
             "ranking-unknown",
             "ranking-repeat",
