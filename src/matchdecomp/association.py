@@ -64,14 +64,15 @@ class OneToOneMarket:
             raise MarketValidationError("decomposition covers a different firm count")
         # every family passes here, whatever built it; a walked one cannot
         # repeat or leave the market, and checking it costs one set and
-        # one max per order
+        # one max per order, on the rankings, which hash in C
         k = len(self.source.workers)
         ranking = attrgetter("ranking")
         for firm, orders in zip(self.source.firms, self.per_firm):
-            if len(set(orders)) != len(orders):
+            rankings = list(map(ranking, orders))
+            if len(set(rankings)) != len(rankings):
                 raise MarketValidationError("decomposition lists an order twice")
             # an empty ranking has no max
-            top = max(map(max, filter(None, map(ranking, orders))), default=-1)
+            top = max(map(max, filter(None, rankings)), default=-1)
             if top >= k:
                 raise MarketValidationError(
                     f"decomposition of {firm} ranks worker index {top}, outside "

@@ -6,9 +6,13 @@ I/O boundary.
 
 A family of menus is an int too, one bit per menu over all ``2**k``
 menus: bit ``m`` stands for the menu with mask ``m``.  :func:`menu_sets`
-and :func:`member_sets` give, for each worker, the menus it belongs to and
-the menus whose entry holds it, so an axiom check can test every menu at
-once with a few big-int operations.
+gives, for each worker, the menus it belongs to.  A choice function's
+menu sets, the menus on which it chooses each worker, come from one of
+two places: :func:`member_sets` transposes an explicit ``2**k`` table, and
+:func:`maxima_sets` reads a family of rankings directly, the menus on
+which each worker is some ranking's best.  Either way an axiom check or a
+family check can then test every menu at once with a few big-int
+operations.
 """
 
 from __future__ import annotations
@@ -99,3 +103,40 @@ def member_sets(entries: Sequence[int], k: int) -> tuple[int, ...]:
             for w in range(k)
         ]
     )
+
+
+def maxima_sets(rankings: Iterable[tuple[int, ...]], k: int) -> tuple[int, ...]:
+    """For each of ``k`` workers, the menus on which some ranking's best is it.
+
+    All ``2**k`` menus go down a ranking together as one menu set: at
+    worker ``w`` the menus containing ``w`` stop, with ``w`` as their best,
+    and the rest go on.  Rankings that share a prefix agree on every menu
+    that misses it, so the rankings are taken in sorted order, which puts
+    shared prefixes next to each other.  For each depth ``d`` the pass keeps
+    the menus holding none of the previous ranking's first ``d`` workers,
+    and starts each ranking after the prefix it shares with the previous
+    one.  The result is a union over the rankings, so their order, repeats,
+    empty rankings and rankings that are prefixes of others change nothing.
+    A worker index ``k`` or above is on no menu and is passed over.
+    """
+    has = menu_sets(k)
+    best = [0] * k
+    # left[d]: the menus holding none of the previous ranking's first d workers
+    left = [(1 << (1 << k)) - 1]
+    previous: tuple[int, ...] = ()
+    for ranking in sorted(rankings):
+        shared = 0
+        for a, b in zip(previous, ranking):
+            if a != b:
+                break
+            shared += 1
+        del left[shared + 1 :]
+        menus = left[shared]
+        for w in ranking[shared:]:
+            if w < k:
+                present = menus & has[w]
+                best[w] |= present
+                menus ^= present
+            left.append(menus)
+        previous = ranking
+    return tuple(best)

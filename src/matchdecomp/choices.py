@@ -47,6 +47,19 @@ substitutability, consistency and path-independence checkers and
 all read the one pass.  Each public checker applies the ``2**k`` guard,
 ``require_universe``, on every call, before it reads anything.
 
+The menu sets of a ``table`` or ``subset_ranking`` function are
+transposed from its ``2**k`` table
+(:func:`~matchdecomp.bitsets.member_sets`).  Those of an ``orders``
+function come straight from its orders, in one sorted pass that sends
+all menus down each order together
+(:func:`~matchdecomp.bitsets.maxima_sets`), the same pass that checks a
+decomposition.  So deciding its path independence, walking its
+decomposition and checking a family against it build no table for an
+``orders`` function, and neither do ``decompose`` and ``solve``.  The
+law of aggregate demand is still decided on the table, which
+:func:`check_lad` builds for every kind of function, so ``validate`` and
+``verify`` build it for ``orders`` functions too.
+
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
 order, workers in ascending index order, and intermediate menus through a
@@ -58,7 +71,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bitsets import bit, iter_indices, iter_submasks, mask_of, member_sets, menu_sets
+from .bitsets import (
+    bit,
+    iter_indices,
+    iter_submasks,
+    mask_of,
+    maxima_sets,
+    member_sets,
+    menu_sets,
+)
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .errors import MarketValidationError
 
@@ -80,7 +101,7 @@ class LinearOrder:
     def __post_init__(self):
         if len(set(self.ranking)) != len(self.ranking):
             raise MarketValidationError(f"duplicate worker in order {self.ranking}")
-        if any(w < 0 for w in self.ranking):
+        if self.ranking and min(self.ranking) < 0:
             raise MarketValidationError(f"negative worker index in {self.ranking}")
 
     @cached_property
@@ -118,7 +139,8 @@ class ChoiceFunction:
 
     Use the ``from_*`` constructors; they validate the payload.  ``choose``
     evaluates the representation directly, so no exponential table is built
-    unless :func:`canonicalize` or an axiom check asks for one.
+    unless :func:`canonicalize`, :func:`check_lad` or an axiom check of a
+    ``table`` or ``subset_ranking`` function asks for one.
     """
 
     universe_size: int
@@ -191,7 +213,9 @@ class ChoiceFunction:
 
     @cached_property
     def _full_table(self) -> tuple[int, ...]:
-        # Callers guard the 2**k cost through require_universe.
+        # Callers guard the 2**k cost through require_universe.  An orders
+        # function needs it only for canonicalize and the law of aggregate
+        # demand, so validate and verify build it.
         if self.kind == TABLE:
             return self.table
         choose = self.choose
@@ -199,7 +223,10 @@ class ChoiceFunction:
 
     @cached_property
     def _menu_sets(self) -> tuple[int, ...]:
-        # bit m of item w is on when w is in C(m); callers guard the 2**k cost
+        # bit m of item w is on when w is in C(m); callers guard the 2**k
+        # cost.  An orders function reads its own orders, with no table.
+        if self.kind == ORDERS:
+            return maxima_sets((o.ranking for o in self.orders), self.universe_size)
         return member_sets(self._full_table, self.universe_size)
 
     # The pass and the verdict below are kept, so each function is scanned

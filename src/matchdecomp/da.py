@@ -7,8 +7,9 @@ variants coordinate siblings by the rule ``split_matching`` uses: a copy's
 *pick* is the best worker, by its own order, among those its firm holds,
 read from one held-worker bitmask per firm, kept in step with each hire,
 replacement and release.  A stage costs one O(k) pick per acting copy
-and, for the release, per worker held by a firm that hired in the stage,
-however many copies a firm has.
+and, for the release, one per worker hired in the stage, plus one rank
+comparison per new hire for every other worker its firm holds, however
+many copies a firm has.
 
 Copies propose (:func:`copies_propose`).  Each stage, every copy rejected
 in the previous stage may offer to the best worker in its order that has
@@ -319,7 +320,7 @@ def workers_propose(
         valid_offers: dict[int, tuple[int, ...]] = {}
         rejections: dict[int, tuple[int, ...]] = {}
         rejected: list[int] = []
-        hiring: set[int] = set()
+        hired = [0] * len(held)  # each firm's workers hired this stage
         for c in sorted(offers):
             candidates = offers[c]
             row = crank[c]
@@ -349,23 +350,33 @@ def workers_propose(
                 held_by_copy[c] = chosen
                 held_by_worker[chosen] = c
                 held[f] |= bit(chosen)
-                hiring.add(f)
+                hired[f] |= bit(chosen)
             if rejected_here:
                 rejections[c] = tuple(rejected_here)
                 rejected.extend(rejected_here)
 
         if release:
-            # Only a firm that hired this stage can hold an envious copy.
             # The previous release left every firm envy-free, and since
-            # then any other firm can only have lost workers.  Removing a
-            # worker never creates envy: a copy's own worker stays its
-            # pick from a smaller set.
-            envious = sorted(
-                (held_by_worker[w], w)
-                for f in hiring
-                for w in iter_indices(held[f])
-                if orders[held_by_worker[w]].best_in(held[f]) != w
-            )
+            # then a firm has lost workers and gained this stage's hires.
+            # Removing a worker never creates envy: a copy's own worker
+            # stays its pick from a smaller set.  So a worker held from
+            # before the stage is released only when its copy ranks one
+            # of the firm's new hires above it; a new hire is checked
+            # against everything its firm holds.
+            envious = []
+            for f, new in enumerate(hired):
+                if not new:
+                    continue
+                fresh = list(iter_indices(new))
+                for w in iter_indices(held[f]):
+                    c = held_by_worker[w]
+                    if new >> w & 1:
+                        envy = orders[c].best_in(held[f]) != w
+                    else:
+                        envy = min(map(crank[c].__getitem__, fresh)) < crank[c][w]
+                    if envy:
+                        envious.append((c, w))
+            envious.sort()
             for c, dropped in envious:
                 held_by_copy[c] = None
                 held_by_worker[dropped] = None

@@ -4,20 +4,28 @@ Any path-independent ``C`` equals a union of maximizations: there is a
 family of linear orders ``P_1 .. P_J`` with ``C(S)`` the union of each
 order's best worker in ``S`` (the classical Aizerman-Malishevski form).
 
-``decompose`` builds that family constructively.  Starting from the full
-universe it repeatedly picks one currently chosen worker, removes it, and
-recurses; every maximal pick sequence, read as a preference list, is one
-order of the family.  Workers never picked along a branch are unacceptable
-in that branch's order.  The inverse direction, the union of an order
-family, is ``ChoiceFunction.from_orders``.
+``decompose`` builds that family constructively: every maximal pick
+sequence, starting from the full universe and removing one currently
+chosen worker at a time, read as a preference list, is one order of the
+family.  Workers never picked along a sequence are unacceptable in its
+order.  The sequences that continue from a menu depend on that menu
+alone, so the walk visits each reachable menu once and builds its list
+of suffix rankings once; a parent puts its pick in front of each of its
+child's suffixes.  A family within the order cap has at most the cap's
+count of suffixes at each of the ``k + 1`` depths, so a walk that builds
+more than ``k + 1`` times the cap refuses before it builds any order.  An
+``orders`` function is asked through ``choose`` on the menus the walk
+reaches, and no ``2**k`` table is built for it.  The inverse direction,
+the union of an order family, is ``ChoiceFunction.from_orders``.
 
 ``verify_decomposition`` checks that identity for a family, whatever
-produced it, in one pass over the family's rankings in sorted order: all
-menus go down a ranking together as one bitset, and a ranking starts
-where it leaves the prefix it shares with the previous one, since the
-menus that miss a shared prefix pick alike.  The check reads the family
-as a set of orders, so its result does not depend on their order in the
-family.
+produced it, by comparing the family's picks over all ``2**k`` menus,
+from one sorted pass down its rankings
+(:func:`~matchdecomp.bitsets.maxima_sets`), with the function's menu
+sets.  An ``orders`` function's menu sets come from the same pass over
+its own orders, so checking a family of it builds no table either.  The
+check reads the family as a set of orders, so its result does not depend
+on their order in the family.
 
 ``decompose_market`` returns one family per firm as a plain tuple, ready
 to be the ``per_firm`` argument of
@@ -28,9 +36,15 @@ indexing is matched against the walk where the file is read, in
 
 from __future__ import annotations
 
-from .bitsets import bit, iter_indices, mask_of, menu_sets
+from .bitsets import mask_of, maxima_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
-from .choices import AxiomReport, ChoiceFunction, LinearOrder, check_path_independence
+from .choices import (
+    ORDERS,
+    AxiomReport,
+    ChoiceFunction,
+    LinearOrder,
+    check_path_independence,
+)
 from .errors import AxiomViolationError, CapExceededError
 from .markets import ManyToOneMarket
 
@@ -41,38 +55,65 @@ def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder
     The result is sorted lexicographically by worker index sequence.
     Raises AxiomViolationError when ``cf`` is not path independent and
     CapExceededError when more than ``caps.max_orders`` distinct orders
-    appear.  The result is not verified against ``cf`` here:
-    :func:`~matchdecomp.association.build_associated_market` verifies
-    every family once, whatever produced it.
+    appear; a refusal builds no order.  The result is not verified against
+    ``cf`` here: :func:`~matchdecomp.association.build_associated_market`
+    verifies every family once, whatever produced it.
+
+    The pick sequences that continue from a menu depend on the menu alone,
+    not on how it was reached, so the walk builds each reached menu's list
+    of suffix rankings once: for each pick in ascending worker order, the
+    pick in front of each of the child menu's suffixes.  No suffix of a
+    menu is a prefix of another, so every list comes out sorted.  A table
+    or subset-ranking function is read from the table its
+    path-independence pass built; an ``orders`` function is asked through
+    ``choose`` on the menus the walk reaches, so no ``2**k`` table is
+    built for it.
+
+    The cap binds before the family is built.  Suffixes of distinct menus
+    at one depth extend to distinct orders, so a family within the cap
+    has at most ``caps.max_orders`` suffixes at each of the ``k + 1``
+    depths.  A walk that builds more than ``(k + 1) * caps.max_orders``
+    suffixes in all, or more than ``caps.max_orders`` for one menu, is
+    refused at once, which keeps time and memory within ``O(k)`` times
+    the cap.
     """
     pi = check_path_independence(cf, caps)
     if not pi.passed:
         raise AxiomViolationError(
             "decomposition requires a path-independent choice function", pi
         )
-    table = cf._full_table
-    result: list[LinearOrder] = []
+    choose = cf.choose if cf.kind == ORDERS else cf._full_table.__getitem__
     max_orders = caps.max_orders
+    budget = (cf.universe_size + 1) * max_orders
+    built = 0
+    suffixes: dict[int, list[tuple[int, ...]]] = {}
 
-    # a pick sequence fixes the menu it leaves, so distinct leaves give
-    # distinct orders, and none is a prefix of another: children taken in
-    # ascending worker order reach the leaves already sorted
-    def walk(remaining: int, prefix: list[int]) -> None:
-        chosen = table[remaining]
+    def walk(menu: int) -> list[tuple[int, ...]]:
+        nonlocal built
+        chosen = choose(menu)
         if not chosen:
-            if len(result) >= max_orders:
-                raise CapExceededError(
-                    f"decomposition exceeds {max_orders} distinct orders"
-                )
-            result.append(LinearOrder(tuple(prefix)))
-            return
-        for w in iter_indices(chosen):
-            prefix.append(w)
-            walk(remaining & ~bit(w), prefix)
-            prefix.pop()
+            return [()]
+        found: list[tuple[int, ...]] = []
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            child = menu ^ low
+            rest = suffixes.get(child)
+            if rest is None:
+                rest = suffixes[child] = walk(child)
+            pick = (low.bit_length() - 1,)
+            found += [pick + suffix for suffix in rest]
+        built += len(found)
+        if len(found) > max_orders or built > budget:
+            raise CapExceededError(f"decomposition exceeds {max_orders} distinct orders")
+        return found
 
-    walk((1 << cf.universe_size) - 1, [])
-    return result
+    try:
+        return [LinearOrder(ranking) for ranking in walk((1 << cf.universe_size) - 1)]
+    finally:
+        # walk holds itself through its closure, so without this the memo
+        # would stay alive until the cyclic collector found the pair
+        suffixes.clear()
 
 
 def verify_decomposition(
@@ -80,46 +121,22 @@ def verify_decomposition(
 ) -> AxiomReport:
     """Check that the union of the orders' maxima equals ``cf`` menu by menu.
 
-    All ``2**k`` menus go down a ranking together as one bitset (bit ``m``
-    stands for menu ``m``): at worker ``w`` the menus containing ``w`` stop,
-    with ``w`` as their pick, and the rest go on.  Rankings that share a
-    prefix pick alike on every menu that misses it, and a decomposition's
-    orders, pick sequences of one function, share long prefixes.  Sorting
-    puts those rankings next to each other, so the pass keeps, for each
-    depth ``d``, the menus holding none of the previous ranking's first
-    ``d`` workers, and starts each ranking after the prefix it shares with
-    the previous one.  The picks are a union over the family, so the order
-    of the family does not change them; sorting only shares the work.
-    Duplicate orders, empty orders and orders that are prefixes of others
-    need no special case.  The picks are then compared with the function's
-    menu sets (bit ``m`` of worker ``w``'s set is on when ``w`` is in
-    ``C(m)``), k big-int operations in all.  On a failure the witness is
-    the smallest menu mask where the union differs, as a menu-by-menu scan
-    would find.
+    The family's picks over all ``2**k`` menus come from one sorted pass,
+    :func:`~matchdecomp.bitsets.maxima_sets`, which reads the family as a
+    set of orders, so their order in the family does not change the
+    result.  Duplicate orders, empty orders, orders that are prefixes of
+    others and workers outside the universe need no special case.  The
+    picks are then compared with the function's menu sets (bit ``m`` of
+    worker ``w``'s set is on when ``w`` is in ``C(m)``), k big-int
+    operations in all; an ``orders`` function's own menu sets come from
+    the same pass over its orders, with no ``2**k`` table.  On a failure
+    the witness is the smallest menu mask where the union differs, as a
+    menu-by-menu scan would find, and its expected value is read through
+    ``choose``.
     """
     k = cf.universe_size
     require_universe(k, caps)
-    has = menu_sets(k)
-    picked = [0] * k  # the menus where some order's best worker is w
-    # left[d]: the menus holding none of the previous ranking's first d workers
-    left = [(1 << (1 << k)) - 1]
-    rankings = sorted(order.ranking for order in orders)
-    for previous, ranking in zip([()] + rankings, rankings):
-        shared = 0
-        for a, b in zip(previous, ranking):
-            if a != b:
-                break
-            shared += 1
-        del left[shared + 1 :]
-        menus = left[shared]
-        for w in ranking[shared:]:
-            # a hand-built family may name workers outside the universe,
-            # which are on no menu
-            if w < k:
-                present = menus & has[w]
-                picked[w] |= present
-                menus ^= present
-            left.append(menus)
+    picked = maxima_sets((order.ranking for order in orders), k)
     diff = 0
     for got, want in zip(picked, cf._menu_sets):
         diff |= got ^ want
@@ -130,7 +147,7 @@ def verify_decomposition(
     return AxiomReport(
         "decomposition",
         False,
-        {"menu": menu, "expected": cf._full_table[menu], "actual": actual},
+        {"menu": menu, "expected": cf.choose(menu), "actual": actual},
     )
 
 

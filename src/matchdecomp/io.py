@@ -290,9 +290,11 @@ def parse_market(data: dict, caps: Caps = DEFAULT_CAPS) -> MarketDocument:
         )
         # the walk raises first when the firm is not path independent
         walked = decompose(market.choice_functions[f], caps)
-        if len(set(explicit)) != len(explicit):
+        # rankings hash in C, where a LinearOrder hashes through its dataclass
+        given = {order.ranking for order in explicit}
+        if len(given) != len(explicit):
             raise MarketValidationError(f"copy_indexing of {firm} repeats an order")
-        if set(explicit) != set(walked):
+        if given != {order.ranking for order in walked}:
             raise DecompositionMismatchError(
                 f"copy_indexing of {firm} is not the decomposition order set"
             )

@@ -13,16 +13,28 @@ from matchdecomp import (
     CapExceededError,
     ChoiceFunction,
     DecompositionMismatchError,
+    GenParams,
     LinearOrder,
     ManyToOneMarket,
+    MarketDocument,
     MarketValidationError,
     OneToOneMarket,
+    build_associated_market,
+    canonicalize,
+    copies_propose,
     decompose,
     decompose_market,
+    dump_market,
     parse_market,
+    random_market,
     serialize_market,
     verify_decomposition,
+    workers_propose,
 )
+from matchdecomp import decomposition
+from matchdecomp.bitsets import bit, iter_indices, member_sets
+from matchdecomp.choices import ORDERS, check_path_independence
+from matchdecomp.cli import main
 
 from conftest import (
     GOLDEN_ORDERS_F1,
@@ -52,6 +64,55 @@ def scan_verify(cf, orders):
                 {"menu": menu, "expected": table[menu], "actual": union},
             )
     return AxiomReport("decomposition", True)
+
+
+def tree_walk(cf):
+    """Oracle for decompose: one recursive call per pick sequence, children
+    in ascending worker order, so the leaves come out sorted."""
+    found = []
+
+    def walk(remaining, prefix):
+        chosen = cf.choose(remaining)
+        if not chosen:
+            found.append(LinearOrder(tuple(prefix)))
+            return
+        for w in iter_indices(chosen):
+            prefix.append(w)
+            walk(remaining & ~bit(w), prefix)
+            prefix.pop()
+
+    walk((1 << cf.universe_size) - 1, [])
+    return found
+
+
+def path_independent_subset_rankings(count=40):
+    """Seeded subset-ranking functions over 1 to 4 workers that pass path
+    independence, drawn as random rankings of random nonempty subsets."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        rng = random.Random(seed)
+        seed += 1
+        k = rng.randint(1, 4)
+        subsets = rng.sample(range(1, 1 << k), rng.randint(1, (1 << k) - 1))
+        cf = ChoiceFunction.from_subset_ranking(subsets, k)
+        if check_path_independence(cf).passed:
+            found.append(cf)
+    return found
+
+
+# k = 9 markets of 1,089, 2,557 and 2,375 copies
+LARGE_FAMILY_SEEDS = (1, 5, 7)
+
+
+def large_family_firms():
+    return [
+        cf
+        for seed in LARGE_FAMILY_SEEDS
+        for cf in random_market(
+            GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=seed)
+        ).choice_functions
+    ]
 
 
 def random_order(rng, k):
@@ -117,6 +178,22 @@ class TestDecomposeReference:
         assert str(caught.value) == (
             "copy_indexing of f1 is not the decomposition order set"
         )
+
+    def test_explicit_rejects_a_missing_order(self, reference_market):
+        orders = decompose(reference_market.choice_functions[0])
+        data = serialize_market(reference_market, {0: orders[:-1]})
+        with pytest.raises(DecompositionMismatchError) as caught:
+            parse_market(data)
+        assert str(caught.value) == (
+            "copy_indexing of f1 is not the decomposition order set"
+        )
+
+    def test_explicit_rejects_a_repeat_of_a_whole_family(self, reference_market):
+        orders = decompose(reference_market.choice_functions[0])
+        data = serialize_market(reference_market, {0: orders + orders[-1:]})
+        with pytest.raises(MarketValidationError) as caught:
+            parse_market(data)
+        assert str(caught.value) == "copy_indexing of f1 repeats an order"
 
     def test_explicit_rejects_repeats(self, reference_market):
         orders = decompose(reference_market.choice_functions[0])
@@ -251,3 +328,147 @@ class TestRoundTrips:
         )
         doc = parse_market(serialize_market(market, {0: shuffled}))
         assert doc.copy_indexing == {0: tuple(shuffled)}
+
+
+class TestWalkMatchesTreeWalk:
+    """The per-menu walk against the recursive walk, order for order."""
+
+    @given(order_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_order_unions_and_their_tables(self, cf):
+        expected = tree_walk(cf)
+        assert decompose(cf) == expected
+        assert decompose(canonicalize(cf)) == expected
+
+    def test_subset_rankings(self, reference_market):
+        firms = list(reference_market.choice_functions)
+        firms += path_independent_subset_rankings()
+        for cf in firms:
+            assert decompose(cf) == tree_walk(cf)
+
+    def test_large_families(self):
+        sizes = []
+        for cf in large_family_firms():
+            found = decompose(cf)
+            assert found == tree_walk(cf)
+            sizes.append(len(found))
+        assert sum(sizes) > 5000
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_smallest_universes(self, k):
+        for orders in ((), (LinearOrder(()),), (LinearOrder(tuple(range(k))),)):
+            cf = ChoiceFunction.from_orders(orders, k)
+            assert decompose(cf) == tree_walk(cf) == decompose(canonicalize(cf))
+
+
+def table_menu_sets(cf):
+    """Oracle for an ``orders`` function's menu sets: its table, built
+    through ``choose`` menu by menu, then transposed."""
+    k = cf.universe_size
+    return member_sets([cf.choose(m) for m in range(1 << k)], k)
+
+
+class TestOrdersMenuSets:
+    """An ``orders`` function's menu sets, read from its orders, equal the
+    transposed table."""
+
+    @given(order_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_order_unions(self, cf):
+        assert cf._menu_sets == table_menu_sets(cf)
+
+    def test_families_of_walked_orders(self, reference_market):
+        firms = [
+            ChoiceFunction.from_orders(decompose(cf), cf.universe_size)
+            for cf in list(reference_market.choice_functions)
+            + path_independent_subset_rankings()
+        ]
+        firms += large_family_firms()
+        for cf in firms:
+            assert cf._menu_sets == table_menu_sets(cf)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_empty_rankings_and_families(self, k):
+        families = [(), (LinearOrder(()),), (LinearOrder(()), LinearOrder((0,) * (k > 0)))]
+        for orders in families:
+            cf = ChoiceFunction.from_orders(orders, k)
+            assert cf._menu_sets == table_menu_sets(cf)
+
+
+class TestOrderCap:
+    @pytest.mark.parametrize("firm", ["reference", "large"])
+    def test_cap_at_the_family_size(self, firm, reference_market):
+        if firm == "reference":
+            cf = reference_market.choice_functions[0]
+        else:
+            cf = large_family_firms()[1]
+        expected = tree_walk(cf)
+        n = len(expected)
+        assert decompose(cf, Caps(max_orders=n)) == expected
+        with pytest.raises(CapExceededError) as caught:
+            decompose(cf, Caps(max_orders=n - 1))
+        assert str(caught.value) == f"decomposition exceeds {n - 1} distinct orders"
+
+    def test_whole_menu_table_refuses_without_building_an_order(self, monkeypatch):
+        # C(m) = m has |m|! orders below menu m: 40,320 at k = 8
+        built = []
+
+        def counting(ranking):
+            built.append(ranking)
+            return LinearOrder(ranking)
+
+        monkeypatch.setattr(decomposition, "LinearOrder", counting)
+        cf = ChoiceFunction.from_table(range(1 << 8), 8)
+        with pytest.raises(CapExceededError) as caught:
+            decompose(cf)
+        assert str(caught.value) == "decomposition exceeds 5040 distinct orders"
+        assert built == []
+        # within the cap the same walk builds each order once
+        small = ChoiceFunction.from_table(range(1 << 4), 4)
+        assert len(decompose(small, Caps(max_orders=24))) == len(built) == 24
+
+
+class _NoOrdersTable:
+    """Stands in for ``ChoiceFunction._full_table``: fails for an ``orders``
+    function and builds the table as before for any other."""
+
+    def __init__(self, original):
+        self.original = original
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and obj.kind == ORDERS:
+            raise AssertionError("built the 2**k table of an orders function")
+        return self.original.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        raise AssertionError("wrote ChoiceFunction._full_table")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(workers=9, firms=3, max_orders=3, density=0.8, seed=1),
+        GenParams(workers=16, firms=4, max_orders=1, density=0.5, seed=2),
+    ],
+    ids=["k9", "k16"],
+)
+def test_copy_level_commands_build_no_table_for_orders_firms(
+    params, tmp_path, monkeypatch, capsys
+):
+    # an orders firm's walk asks choose on the menus it reaches, and its
+    # family is verified against menu sets read from its orders; validate
+    # and verify still build the table, for the law of aggregate demand
+    market = random_market(params)
+    path = str(tmp_path / "orders.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_market(MarketDocument(market)))
+    original = ChoiceFunction.__dict__["_full_table"]
+    monkeypatch.setattr(ChoiceFunction, "_full_table", _NoOrdersTable(original))
+    assoc = build_associated_market(market, decompose_market(market))
+    copies_propose(assoc)
+    workers_propose(assoc)
+    for argv in (["decompose"], ["solve"], ["solve", "--proposing", "copies"]):
+        assert main([argv[0], path, *argv[1:]]) == 0
+    with pytest.raises(AssertionError, match="2\\*\\*k table"):
+        main(["validate", path])
+    capsys.readouterr()
