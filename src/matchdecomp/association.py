@@ -14,15 +14,24 @@ Copies of firms a worker finds unacceptable do not appear in the lifted
 list at all.  Copies, their firms, labels and lifted lists are derived
 from the families alone, so both rules hold by construction.
 
+Every copy-level decision between siblings rests on one rule: a copy's
+*pick* from a set of workers is its best worker there by its own order.
+``OneToOneMarket.copy_above`` is that rule's one home.  ``copy_above[c][w]``
+is the mask of workers copy ``c`` ranks above ``w``, or every bit (``-1``)
+when ``c`` does not rank ``w``, so ``c`` picks ``w`` from a menu ``S``
+holding ``w`` exactly when ``not S & copy_above[c][w]``: one mask test,
+however long the order.  The deferred acceptance runs, the stability
+checkers and the copy-stable enumerator all decide picks this way.
+
 The two maps between the market forms live here too.  ``merge_matching``
 collapses a one-to-one matching of the copies into a many-to-one matching:
 each firm hires the union of what its copies hold.  ``split_matching`` goes
-the other way: every worker a firm hires is handed to the lowest-numbered
-copy whose order ranks that worker highest within the hired set; remaining
-copies stay empty.  Splitting only works when each firm would actually
-choose its hired set, otherwise some hired worker is nobody's maximum and
-a FirmRationalityError is raised.  The copy-stable enumerator lists each
-copy-stable matching as the split image of a firm placement.
+the other way: every worker a firm hires is seated on the lowest-numbered
+copy that picks it from the hired set; remaining copies stay empty.
+Splitting only works when each firm would actually choose its hired set,
+otherwise some hired worker is no copy's pick and a FirmRationalityError
+is raised.  The copy-stable enumerator lists each copy-stable matching as
+the split image of a firm placement.
 """
 
 from __future__ import annotations
@@ -150,6 +159,27 @@ class OneToOneMarket:
     def copy_empty_rank(self) -> tuple[int, ...]:
         return tuple(len(order.ranking) for order in self.copies)
 
+    @cached_property
+    def copy_above(self) -> tuple[tuple[int, ...], ...]:
+        """``copy_above[c][w]``: the workers copy ``c`` ranks above ``w``.
+
+        ``-1``, every bit, when ``c`` does not rank ``w``.  So ``c`` picks
+        ``w`` from a menu ``S`` that holds ``w`` exactly when
+        ``not S & copy_above[c][w]``; for a ``w`` outside ``S``, test
+        ``S | 1 << w``, and an unranked worker is never picked.
+        """
+        k = len(self.source.workers)
+        bits = [1 << w for w in range(k)]
+        rows = []
+        for order in self.copies:
+            row = [-1] * k
+            above = 0
+            for w in order.ranking:
+                row[w] = above
+                above |= bits[w]
+            rows.append(tuple(row))
+        return tuple(rows)
+
 
 def build_associated_market(
     market: ManyToOneMarket,
@@ -195,25 +225,27 @@ def split_matching(
 ) -> OneToOneMatching:
     """Distribute each firm's hired set over its copies.
 
-    Worker ``w`` goes to the lowest-numbered copy whose order picks ``w``
-    as its best worker within the firm's hired set.
+    Worker ``w`` goes to the lowest-numbered copy of its firm that picks
+    ``w`` from the firm's hired set, one ``copy_above`` test per copy
+    tried.
     """
     source = assoc.source
     if matching.firm_count != len(source.firms):
         raise MarketValidationError("matching covers a different firm count")
     if len(matching.by_worker) != len(source.workers):
         raise MarketValidationError("matching covers a different worker count")
-    orders = assoc.copies
+    above = assoc.copy_above
     by_worker: list[int | None] = [None] * len(source.workers)
     for f, hired in enumerate(matching.firm_masks):
         if hired == 0:
             continue
-        for c in assoc.copies_by_firm[f]:
-            best = orders[c].best_in(hired)
-            if best is not None and by_worker[best] is None:
-                by_worker[best] = c
+        group = assoc.copies_by_firm[f]
         for w in iter_indices(hired):
-            if by_worker[w] is None:
+            for c in group:
+                if not hired & above[c][w]:
+                    by_worker[w] = c
+                    break
+            else:
                 raise FirmRationalityError(
                     f"firm {source.firms[f]} would not choose its assigned set: "
                     f"no copy's best pick is {source.workers[w]}"

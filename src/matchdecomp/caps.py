@@ -3,9 +3,11 @@
 Everything here is desk-scale by design: axiom checks enumerate subsets,
 decomposition enumerates selection sequences, and the stable-set
 enumerators search candidate matchings.  Caps turn a silent blow-up into a
-clean :class:`~matchdecomp.errors.CapExceededError`.  The first two caps
-refuse an operation before it starts; the candidate cap stops a search
-once its work passes the cap.
+clean :class:`~matchdecomp.errors.CapExceededError`.  The worker cap
+refuses an operation before it starts.  The order cap stops a
+decomposition walk after at most (k+1) times the cap suffixes, before it
+builds any order.  The candidate cap stops a search once its work passes
+the cap.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ a sibling copy ranks higher, which no copy-stable matching allows.  Both
 variants coordinate siblings by the rule ``split_matching`` uses: a copy's
 *pick* is the best worker, by its own order, among those its firm holds,
 read from one held-worker bitmask per firm, kept in step with each hire,
-replacement and release.  A stage costs one O(k) pick per acting copy
-and, for the release, one per worker hired in the stage, plus one rank
-comparison per new hire for every other worker its firm holds, however
-many copies a firm has.
+replacement and release.  Every sibling decision is one mask test
+against the copy market's ``copy_above`` table, the rule's one home: a
+stage costs one test per acting copy and, for the release, one per
+worker held by a firm that hired in the stage, however many copies a
+firm has and however long their orders.
 
 Copies propose (:func:`copies_propose`).  Each stage, every copy rejected
 in the previous stage may offer to the best worker in its order that has
@@ -44,9 +45,8 @@ worker moves one copy down its list.  Before each stage the run looks
 ahead under the unchanged held masks, in lockstep over the pool, to the
 first offer a copy would accept or to the first stage without offers,
 and takes the all-rejected stages before it in one step, recorded as
-one :class:`IdleStretch`.  The look-ahead costs one rank comparison per
-offer it passes and one O(k) pick per copy it reaches, which the stage
-that follows reuses; a stage that hires pays about one extra comparison.
+one :class:`IdleStretch`.  The look-ahead costs one mask test per offer
+it passes; a stage that hires pays about one extra test.
 
 Both runs return the final matching plus a trace, assert that the
 result is copy-stable, and are insensitive to the order agents are
@@ -124,12 +124,11 @@ class IdleStretch:
     def expand(self) -> Iterator[DaStage]:
         assoc = self.assoc
         prefs = assoc.worker_prefs
-        cempty = assoc.copy_empty_rank
+        firm_of = assoc.firm_of_copy
         held = [0] * len(assoc.source.firms)
         for w, c in enumerate(self.by_worker):
             if c is not None:
-                held[assoc.firm_of_copy[c]] |= bit(w)
-        bars = _Bars(assoc, held)
+                held[firm_of[c]] |= bit(w)
         for step in range(self.length):
             offers: dict[int, list[int]] = {}
             for w, pos in zip(self.pool, self.start):
@@ -145,7 +144,7 @@ class IdleStretch:
                 self.by_worker,
                 len(assoc.copies),
                 valid_offers={
-                    c: offered[c] if bars[c] == cempty[c] else ()
+                    c: () if held[firm_of[c]] & assoc.copies[c].mask else offered[c]
                     for c in sorted(offered)
                 },
             )
@@ -192,6 +191,7 @@ def copies_propose(
     wempty = assoc.worker_empty_rank
     firm_of = assoc.firm_of_copy
     orders = assoc.copies
+    above = assoc.copy_above
 
     held_by_worker: list[int | None] = [None] * k
     held = [0] * len(assoc.source.firms)  # each firm's held workers
@@ -213,7 +213,7 @@ def copies_propose(
             if pos >= len(order.ranking):
                 continue  # exhausted its list; stays empty and exits
             target = order.ranking[pos]
-            ok = order.best_in(held[firm_of[c]] | bit(target)) == target
+            ok = not held[firm_of[c]] & above[c][target]
             authorized[c] = ok
             if not ok:
                 if reauthorize:
@@ -274,6 +274,7 @@ def workers_propose(
     n_copies = len(assoc.copies)
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
+    above = assoc.copy_above
     firm_of = assoc.firm_of_copy
     orders = assoc.copies
     prefs = assoc.worker_prefs
@@ -288,8 +289,8 @@ def workers_propose(
 
     while True:
         # screening reads the masks as the stage began
-        bars = _Bars(assoc, held[:])
-        idle, active = _idle_stages(pool, next_pos, prefs, crank, bars)
+        start = held[:]
+        idle, active = _idle_stages(pool, next_pos, prefs, above, firm_of, start)
         if idle:
             records.append(
                 IdleStretch(
@@ -320,16 +321,17 @@ def workers_propose(
         valid_offers: dict[int, tuple[int, ...]] = {}
         rejections: dict[int, tuple[int, ...]] = {}
         rejected: list[int] = []
-        hired = [0] * len(held)  # each firm's workers hired this stage
+        hired = set()  # the firms that hired this stage
         for c in sorted(offers):
             candidates = offers[c]
             row = crank[c]
             f = firm_of[c]
-            bar = bars[c]
-            if bar == cempty[c]:
+            screen = start[f]
+            if not screen & orders[c].mask:
                 valid = candidates  # no pick: every offer passes the screen
             else:
-                valid = [w for w in candidates if row[w] < bar]
+                # an offering worker is held by no one, so it joins the menu
+                valid = [w for w in candidates if not (screen | 1 << w) & above[c][w]]
             valid_offers[c] = tuple(valid)
 
             previous = held_by_copy[c]
@@ -350,7 +352,7 @@ def workers_propose(
                 held_by_copy[c] = chosen
                 held_by_worker[chosen] = c
                 held[f] |= bit(chosen)
-                hired[f] |= bit(chosen)
+                hired.add(f)
             if rejected_here:
                 rejections[c] = tuple(rejected_here)
                 rejected.extend(rejected_here)
@@ -359,22 +361,13 @@ def workers_propose(
             # The previous release left every firm envy-free, and since
             # then a firm has lost workers and gained this stage's hires.
             # Removing a worker never creates envy: a copy's own worker
-            # stays its pick from a smaller set.  So a worker held from
-            # before the stage is released only when its copy ranks one
-            # of the firm's new hires above it; a new hire is checked
-            # against everything its firm holds.
+            # stays its pick from a smaller set.  So only a firm that
+            # hired can hold a worker that is not its copy's pick.
             envious = []
-            for f, new in enumerate(hired):
-                if not new:
-                    continue
-                fresh = list(iter_indices(new))
+            for f in hired:
                 for w in iter_indices(held[f]):
                     c = held_by_worker[w]
-                    if new >> w & 1:
-                        envy = orders[c].best_in(held[f]) != w
-                    else:
-                        envy = min(map(crank[c].__getitem__, fresh)) < crank[c][w]
-                    if envy:
+                    if held[f] & above[c][w]:
                         envious.append((c, w))
             envious.sort()
             for c, dropped in envious:
@@ -404,43 +397,24 @@ def workers_propose(
     return result, DaTrace(WORKERS, tuple(records))
 
 
-class _Bars(dict):
-    """Each copy's acceptance bar under fixed held masks, found on first use.
-
-    A copy takes a worker it ranks below its bar: the rank of its pick
-    from its firm's held workers, or its empty rank when it has no pick.
-    Only a ranked worker clears the empty rank, but while a copy has no
-    pick every offer passes its screen.
-    """
-
-    def __init__(self, assoc: OneToOneMarket, held: list[int]):
-        super().__init__()
-        self.assoc = assoc
-        self.held = held
-
-    def __missing__(self, c: int) -> int:
-        assoc = self.assoc
-        top = assoc.copies[c].best_in(self.held[assoc.firm_of_copy[c]])
-        bar = assoc.copy_empty_rank[c] if top is None else assoc.copy_rank[c][top]
-        self[c] = bar
-        return bar
-
-
 def _idle_stages(
     pool: list[int],
     next_pos: list[int],
     prefs: tuple[tuple[int, ...], ...],
-    crank: tuple[tuple[int, ...], ...],
-    bars: _Bars,
+    above: tuple[tuple[int, ...], ...],
+    firm_of: tuple[int, ...],
+    held: list[int],
 ) -> tuple[int, list[int]]:
     """Count the coming stages in which every offer would be rejected.
 
     While nothing is hired, nothing is held or released either, so each
     such stage moves every offering worker one place down its lifted list
-    under the same bars.  The walk takes those stages in lockstep and
-    stops at the first offer that clears its copy's bar, or at the first
-    stage without offers, which is then the run's closing stage.  Returns
-    the count and the pool as it enters the stage that stopped the walk.
+    under the same held masks.  A copy accepts an offer exactly when it
+    picks the offering worker from its firm's held workers plus that
+    worker.  The walk takes those stages in lockstep and stops at the
+    first offer a copy would accept, or at the first stage without
+    offers, which is then the run's closing stage.  Returns the count and
+    the pool as it enters the stage that stopped the walk.
     """
     active = pool
     steps = 0
@@ -451,7 +425,7 @@ def _idle_stages(
             lifted = prefs[w]
             if pos < len(lifted):
                 c = lifted[pos]
-                if crank[c][w] < bars[c]:
+                if not (held[firm_of[c]] | 1 << w) & above[c][w]:
                     return steps, active
                 offering.append(w)
         if not offering:

@@ -251,6 +251,7 @@ def _check_one_to_one(
     wempty = assoc.worker_empty_rank
     crank = assoc.copy_rank
     cempty = assoc.copy_empty_rank
+    above = assoc.copy_above
     by_worker = matching.by_worker
     by_copy = matching.by_copy
 
@@ -264,15 +265,11 @@ def _check_one_to_one(
     for w, c in enumerate(by_worker):
         if c is not None:
             held[shield_of[c]] |= bit(w)
-    picks = [
-        order.best_in(held[g]) if held[g] else None
-        for order, g in zip(assoc.copies, shield_of)
-    ]
     for c, w in enumerate(by_copy):
-        if w is None or picks[c] == w:
+        group = shield_of[c]
+        if w is None or not held[group] & above[c][w]:
             continue
         row = crank[c]
-        group = shield_of[c]
         for mate, envied in enumerate(by_copy):
             if shield_of[mate] == group and envied is not None and row[envied] < row[w]:
                 return StabilityReport(
@@ -281,11 +278,12 @@ def _check_one_to_one(
     current_rank = [
         wempty[w] if c is None else wrank[w][c] for w, c in enumerate(by_worker)
     ]
-    for c, pick in enumerate(picks):
-        row = crank[c]
-        pick_rank = cempty[c] if pick is None else row[pick]
-        for w, rank in enumerate(row):
-            if rank <= pick_rank and wrank[w][c] < current_rank[w]:
+    for c, g in enumerate(shield_of):
+        menu = held[g]
+        # c picks w from menu | 1 << w; no worker is above itself, so
+        # once an unranked w (-1) is ruled out the test reads menu alone
+        for w, ahead in enumerate(above[c]):
+            if not menu & ahead and ahead != -1 and wrank[w][c] < current_rank[w]:
                 return StabilityReport(False, PAIR_BLOCK, {"copy": c, "worker": w})
     return StabilityReport(True)
 
@@ -310,11 +308,12 @@ def check_copy_stable(
        high-numbered copy while a lower-numbered seat sits empty fails here.
 
     Both sibling cases are decided from each copy's *pick*, its best worker
-    by its own order among those its firm holds.  A copy envies exactly
-    when the worker it holds is not its pick, and a pair (c, w) blocks
-    exactly when w prefers c and c ranks w at or above its pick (any
-    ranked w when there is no pick).  Siblings are scanned, by ascending
-    index, only to name the envied copy, so the check costs O(copies·k).
+    by its own order among those its firm holds, by one mask test against
+    ``copy_above`` each.  A copy envies exactly when its firm holds a
+    worker it ranks above its own, and a pair (c, w) blocks exactly when
+    w prefers c and c picks w from w beside its firm's holdings.
+    Siblings are scanned, by ascending index, only to name the envied
+    copy, so the check costs O(copies·k).
     """
     return _check_one_to_one(assoc, matching, assoc.firm_of_copy)
 
@@ -327,10 +326,11 @@ def check_classical_stable(
     This is copy stability with every copy as its own shield group.  The
     group of a matched copy holds only the copy's worker, which is its pick
     once the firm-block case has passed, so copy-envy never fires.  "c
-    ranks w at or above its pick" differs from "strictly above the worker
-    c holds" only at that worker, who sits on c and cannot prefer it.  The
-    scan order is therefore the textbook one: worker rationality, copy
-    rationality, then copy-worker pairs lexicographically by (copy, worker).
+    picks w from w beside its holdings" differs from "c ranks w strictly
+    above the worker it holds" only at that worker, who sits on c and
+    cannot prefer it.  The scan order is therefore the textbook one:
+    worker rationality, copy rationality, then copy-worker pairs
+    lexicographically by (copy, worker).
     """
     return _check_one_to_one(assoc, matching, tuple(range(len(assoc.copies))))
 
@@ -373,14 +373,12 @@ def enumerate_copy_stable(
     source = assoc.source
     k = len(source.workers)
     n = len(source.firms)
-    # guards[w][f]: for each copy of f that ranks w, the workers it ranks
-    # above w; the copy picks w from a menu holding w that misses them all
+    # guards[w][f]: copy_above[c][w] for each copy c of f that ranks w;
+    # such a copy picks w from a menu holding w that misses its guard
     guards = [[set() for _ in range(n)] for _ in range(k)]
-    for order, f in zip(assoc.copies, assoc.firm_of_copy):
-        above = 0
+    for order, row, f in zip(assoc.copies, assoc.copy_above, assoc.firm_of_copy):
         for w in order.ranking:
-            guards[w][f].add(above)
-            above |= bit(w)
+            guards[w][f].add(row[w])
 
     def picked(f: int, w: int, menu: int) -> bool:
         return any(not menu & above for above in guards[w][f])

@@ -5,6 +5,7 @@ import pytest
 from matchdecomp import (
     ChoiceFunction,
     DecompositionMismatchError,
+    GenParams,
     LinearOrder,
     ManyToOneMarket,
     ManyToOneMatching,
@@ -13,8 +14,10 @@ from matchdecomp import (
     OneToOneMatching,
     build_associated_market,
     decompose_market,
+    random_market,
     verify_decomposition,
 )
+from matchdecomp.bitsets import mask_of
 
 
 class TestLabelsAndGroups:
@@ -64,6 +67,44 @@ class TestRankTables:
         # copy A.1 ranks v but not w
         assert assoc.copy_rank[0][0] < assoc.copy_empty_rank[0]
         assert assoc.copy_rank[0][1] > assoc.copy_empty_rank[0]
+
+
+def small_associations(reference_assoc):
+    """The reference market and seeded generated markets, k = 3 to 6."""
+    yield reference_assoc
+    for seed in range(12):
+        params = GenParams(
+            workers=3 + seed % 4, firms=1 + seed % 3, max_orders=2 + seed % 2,
+            density=(0.6, 0.8, 1.0)[seed % 3], seed=seed,
+        )
+        yield build_associated_market(random_market(params))
+
+
+class TestCopyAbove:
+    """``copy_above``, the one table every copy-level pick is read from."""
+
+    def test_rows_are_the_masks_above_each_position(self, reference_assoc):
+        for assoc in small_associations(reference_assoc):
+            k = len(assoc.source.workers)
+            for order, row in zip(assoc.copies, assoc.copy_above):
+                expected = [-1] * k
+                for i, w in enumerate(order.ranking):
+                    expected[w] = mask_of(order.ranking[:i])
+                assert row == tuple(expected)
+
+    def test_one_mask_test_decides_every_pick(self, reference_assoc):
+        # every menu, every worker: c picks w from S | 1 << w exactly when
+        # S misses what c ranks above w, and an unranked w is never picked
+        unranked_seen = 0
+        for assoc in small_associations(reference_assoc):
+            k = len(assoc.source.workers)
+            for order, row in zip(assoc.copies, assoc.copy_above):
+                unranked_seen += row.count(-1)
+                for menu in range(1 << k):
+                    for w in range(k):
+                        grown = menu | 1 << w
+                        assert (not grown & row[w]) == (order.best_in(grown) == w)
+        assert unranked_seen
 
 
 class TestBuildValidation:

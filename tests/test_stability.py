@@ -24,6 +24,7 @@ from matchdecomp import (
     canonicalize,
     check_classical_stable,
     check_copy_stable,
+    check_count_invariance,
     check_stable,
     check_substitutability,
     copies_propose,
@@ -35,6 +36,7 @@ from matchdecomp import (
     random_market,
     split_matching,
     trace_json_lines,
+    verify_correspondence,
     workers_propose,
 )
 from matchdecomp import stability
@@ -388,6 +390,97 @@ def block_market(m: int) -> ManyToOneMarket:
         tuple(ChoiceFunction.from_orders((LinearOrder(o),), k) for o in firms),
         tuple(prefs),
     )
+
+
+def ring_market(length: int, rings: int = 1) -> ManyToOneMarket:
+    """``rings`` disjoint rings of ``length`` workers and firms each.
+
+    Within a ring, indices taken mod ``length``, worker ``w_i`` lists
+    ``f_i`` then ``f_(i+1)``, and firm ``f_i`` has the single order
+    ``[w_(i-1), w_i]``.  Each firm wants only the two workers that list
+    it, and one of them at most.
+
+    A ring of length at least 2 has exactly two stable matchings: every
+    worker on its first firm (``w_i`` at ``f_i``, worker-optimal), or every
+    worker on its second (``w_i`` at ``f_(i+1)``, each firm holding its
+    first choice).  Both are stable, since in the first no worker and in
+    the second no firm would move.  No other is.  If ``w_i`` were
+    unmatched, ``f_i`` would have to hold ``w_(i-1)``, or ``(w_i, f_i)``
+    blocks; then ``w_(i-1)`` is on its second firm, so ``f_(i-1)`` must
+    hold ``w_(i-2)``, or ``(w_(i-1), f_(i-1))`` blocks; and so on around
+    the ring, until ``f_(i+1)`` holds ``w_i``, a contradiction.  So every
+    worker is matched.  If ``w_i`` sits on ``f_(i+1)``, then ``w_(i+1)``
+    cannot, and sits on ``f_(i+2)``; around the ring, everyone is on their
+    second firm, and otherwise everyone is on their first.
+
+    A blocking pair lies within one ring, so a matching of disjoint rings
+    is stable exactly when each ring's part is: ``r`` rings have ``2**r``
+    stable matchings.  Every firm has one order and takes one worker, so
+    each firm is one copy, and the stable, copy-stable and classical sets
+    coincide.
+    """
+    prefs, orders = [], []
+    for r in range(rings):
+        base = r * length
+        for i in range(length):
+            prefs.append((base + i, base + (i + 1) % length))
+            orders.append((base + (i - 1) % length, base + i))
+    k = length * rings
+    return ManyToOneMarket(
+        tuple(f"w{i}" for i in range(k)),
+        tuple(f"f{i}" for i in range(k)),
+        tuple(ChoiceFunction.from_orders((LinearOrder(o),), k) for o in orders),
+        tuple(prefs),
+    )
+
+
+def ring_assignments(length: int, rings: int) -> list[tuple[int, ...]]:
+    """Each ring's workers all on their first firm or all on their second."""
+    return [
+        tuple(r * length + (i + shift) % length for r, shift in enumerate(shifts)
+              for i in range(length))
+        for shifts in product((0, 1), repeat=rings)
+    ]
+
+
+class TestKnownAnswerFamilies:
+    """Ring markets, whose stable sets are known past exhaustive sizes."""
+
+    @pytest.mark.parametrize(
+        "length, rings, count", [(200, 1, 2), (1000, 1, 2), (4, 8, 256), (3, 10, 1024)]
+    )
+    def test_firm_level_search_lists_every_ring_matching(self, length, rings, count):
+        market = ring_market(length, rings)
+        k = length * rings
+        expected = sorted(
+            (ManyToOneMatching(a, k) for a in ring_assignments(length, rings)),
+            key=lambda matching: matching.key,
+        )
+        assert len(expected) == count
+        assert enumerate_stable(market) == expected
+
+    @pytest.mark.parametrize("length, rings", [(4, 3), (3, 4)])
+    def test_three_enumerators_and_verify_agree_on_rings(self, length, rings):
+        market = ring_market(length, rings)
+        assoc = build_associated_market(market)
+        k = length * rings
+        assert len(assoc.copies) == k
+        assignments = ring_assignments(length, rings)
+        firm_level = sorted(
+            (ManyToOneMatching(a, k) for a in assignments), key=lambda m: m.key
+        )
+        copy_level = sorted(
+            (OneToOneMatching(a, k) for a in assignments), key=lambda m: m.key
+        )
+        assert len(firm_level) == 2**rings
+        assert enumerate_stable(market) == firm_level
+        assert enumerate_copy_stable(assoc) == copy_level
+        assert enumerate_classical_stable(assoc) == copy_level
+        assert verify_correspondence(assoc).passed
+        assert check_count_invariance(assoc).verdict == "pass"
+        for matching, _ in (workers_propose(assoc), copies_propose(assoc)):
+            assert matching in copy_level
+            assert merge_matching(assoc, matching) in firm_level
 
 
 class TestPickCheck:
@@ -893,10 +986,10 @@ class _Unreadable:
         self.name = name
 
     def __get__(self, obj, owner=None):
-        raise AssertionError(f"copy-level code read ChoiceFunction.{self.name}")
+        raise AssertionError(f"copy-level code read {self.name}")
 
     def __set__(self, obj, value):
-        raise AssertionError(f"copy-level code wrote ChoiceFunction.{self.name}")
+        raise AssertionError(f"copy-level code wrote {self.name}")
 
 
 def copy_level_results(assoc):
@@ -921,8 +1014,10 @@ def copy_level_results(assoc):
 @pytest.mark.parametrize("seed", [None, *range(1, 9)])
 def test_copy_level_code_never_reads_a_choice_function(seed, reference_assoc, monkeypatch):
     # once the copy market is built, the DAs, checkers, enumerators and the
-    # two maps run on the copies' orders alone; odd seeds give the first
-    # firm an explicit table, so both kinds of firm are covered
+    # two maps run on the copies' orders alone, and read every pick from
+    # the copy market's copy_above table, never from a scan of an order;
+    # odd seeds give the first firm an explicit table, so both kinds of
+    # firm are covered
     if seed is None:
         assoc = reference_assoc
     else:
@@ -935,7 +1030,8 @@ def test_copy_level_code_never_reads_a_choice_function(seed, reference_assoc, mo
     expected = copy_level_results(assoc)
     for name in ("choose", "_full_table", "_menu_sets", "_cover_pair_failures",
                  "_path_independence"):
-        monkeypatch.setattr(ChoiceFunction, name, _Unreadable(name))
+        monkeypatch.setattr(ChoiceFunction, name, _Unreadable(f"ChoiceFunction.{name}"))
+    monkeypatch.setattr(LinearOrder, "best_in", _Unreadable("LinearOrder.best_in"))
     assert copy_level_results(assoc) == expected
 
 
