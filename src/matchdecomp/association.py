@@ -43,12 +43,12 @@ from operator import attrgetter
 from .bitsets import iter_indices
 from .caps import DEFAULT_CAPS, Caps
 from .choices import LinearOrder
-from .decomposition import decompose_market, verify_decomposition
-from .errors import (
-    DecompositionMismatchError,
-    FirmRationalityError,
-    MarketValidationError,
+from .decomposition import (
+    decompose_market,
+    require_recomposition,
+    verify_decomposition,
 )
+from .errors import FirmRationalityError, MarketValidationError
 from .markets import ManyToOneMarket
 from .matchings import ManyToOneMatching, OneToOneMatching
 
@@ -185,25 +185,30 @@ def build_associated_market(
     market: ManyToOneMarket,
     per_firm: tuple[tuple[LinearOrder, ...], ...] | None = None,
     caps: Caps = DEFAULT_CAPS,
+    explicit: dict[int, tuple[LinearOrder, ...]] | None = None,
 ) -> OneToOneMarket:
     """Assemble the copies over verified order families of the market.
 
-    With ``per_firm=None`` the market is decomposed with lexicographic
-    copy numbers.  Supplied families may use any indexing and even a
-    different (e.g. hand-built) order family.  Either way each firm's
-    family is verified here, once: it must recompose to the firm's choice
-    function.
+    With ``per_firm=None`` the market is decomposed by
+    :func:`~matchdecomp.decomposition.decompose_market`: a firm in
+    ``explicit`` (a market file's ``copy_indexing``) keeps that family,
+    and every other firm's copies are numbered lexicographically.
+    ``explicit`` is read only then.  Supplied families may use any
+    indexing and even a different (e.g. hand-built) order family.  Either
+    way this verifies every family once: a walked one on its walk's menu
+    graph, inside ``decompose_market``, and one handed in, explicit or in
+    ``per_firm``, here, by ``verify_decomposition``.  It must recompose to
+    the firm's choice function.
     """
     if per_firm is None:
-        per_firm = decompose_market(market, caps=caps)
+        per_firm = decompose_market(market, explicit, caps)
+        handed_in = sorted(explicit or ())  # the rest are checked already
+    else:
+        handed_in = range(len(per_firm))
     assoc = OneToOneMarket(market, per_firm)
-    for f, orders in enumerate(assoc.per_firm):
-        report = verify_decomposition(market.choice_functions[f], orders, caps)
-        if not report.passed:
-            raise DecompositionMismatchError(
-                f"orders for firm {market.firms[f]} do not recompose its "
-                f"choice function (witness {report.witness})"
-            )
+    for f in handed_in:
+        cf, orders = market.choice_functions[f], assoc.per_firm[f]
+        require_recomposition(market, f, verify_decomposition(cf, orders, caps))
     return assoc
 
 

@@ -57,8 +57,9 @@ decomposition.  So deciding its path independence, walking its
 decomposition and checking a family against it build no table for an
 ``orders`` function, and neither do ``decompose`` and ``solve``.  The
 law of aggregate demand is still decided on the table, which
-:func:`check_lad` builds for every kind of function, so ``validate`` and
-``verify`` build it for ``orders`` functions too.
+:func:`check_lad` builds for every kind of function but an ``orders``
+function of at most one order, which passes it by construction, so
+``validate`` and ``verify`` build it for every other ``orders`` function.
 
 Failed checks carry a replayable witness, keyed by menu masks and worker
 indices.  Witnesses are deterministic: menus are scanned in ascending mask
@@ -214,8 +215,8 @@ class ChoiceFunction:
     @cached_property
     def _full_table(self) -> tuple[int, ...]:
         # Callers guard the 2**k cost through require_universe.  An orders
-        # function needs it only for canonicalize and the law of aggregate
-        # demand, so validate and verify build it.
+        # function needs it only for canonicalize and, past one order, the
+        # law of aggregate demand, so validate and verify build it.
         if self.kind == TABLE:
             return self.table
         choose = self.choose
@@ -379,9 +380,14 @@ def check_lad(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> AxiomReport:
     Decided on cover pairs: removing one worker must not raise the number
     hired, and every submenu is reached by removing workers one at a time.
     The first menu that fails is the larger menu of the first witness, so
-    only that menu's submenus are walked.
+    only that menu's submenus are walked.  An ``orders`` function of at
+    most one order passes without the table: ``|C(S)|`` is 1 exactly when
+    ``S`` holds a worker its order ranks and 0 otherwise, so it never
+    falls as ``S`` grows.
     """
     require_universe(cf.universe_size, caps)
+    if cf.kind == ORDERS and len(cf.orders) <= 1:
+        return AxiomReport("law-of-aggregate-demand", True)
     hires: list[int] = []  # filled as the scan goes, so an early failure stays cheap
     for menu, chosen in enumerate(cf._full_table):
         hired = chosen.bit_count()

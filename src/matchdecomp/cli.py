@@ -35,7 +35,6 @@ from .caps import caps_from_env
 from .choices import check_lad, check_path_independence
 from .correspondence import check_count_invariance, verify_correspondence
 from .da import copies_propose, trace_json_lines, workers_propose
-from .decomposition import decompose_market
 from .errors import MarketError, MarketValidationError
 from .generator import GenParams, random_market
 from .io import (
@@ -68,8 +67,7 @@ def _emit(data: dict) -> None:
 
 
 def _assoc_for(doc, caps):
-    decomposition = decompose_market(doc.market, doc.copy_indexing, caps)
-    return build_associated_market(doc.market, decomposition, caps)
+    return build_associated_market(doc.market, caps=caps, explicit=doc.copy_indexing)
 
 
 def _cmd_validate(args, caps) -> int:

@@ -18,25 +18,36 @@ more than ``k + 1`` times the cap refuses before it builds any order.  An
 reaches, and no ``2**k`` table is built for it.  The inverse direction,
 the union of an order family, is ``ChoiceFunction.from_orders``.
 
-``verify_decomposition`` checks that identity for a family, whatever
-produced it, by comparing the family's picks over all ``2**k`` menus,
-from one sorted pass down its rankings
-(:func:`~matchdecomp.bitsets.maxima_sets`), with the function's menu
-sets.  An ``orders`` function's menu sets come from the same pass over
-its own orders, so checking a family of it builds no table either.  The
-check reads the family as a set of orders, so its result does not depend
-on their order in the family.
+A family is checked against its function, ``C(S)`` equal to the union of
+the orders' picks on every one of the ``2**k`` menus, in one of two
+ways, and each comparison is with the function's menu sets (bit ``m`` of
+worker ``w``'s set is on when ``w`` is in ``C(m)``).  An ``orders``
+function's menu sets come straight from its own orders, so neither
+check builds a table for it.
 
-``decompose_market`` returns one family per firm as a plain tuple, ready
-to be the ``per_firm`` argument of
-:class:`~matchdecomp.association.OneToOneMarket`.  A market file's copy
-indexing is matched against the walk where the file is read, in
+* ``verify_walk`` checks a walked family on the walk's menu graph: the
+  reached menus and the choice read on each, which ``decompose``
+  records on request.  An order picks ``w`` on menu ``S`` exactly when
+  ``w`` is in ``S`` and ``S`` lies inside the menu the order had reached
+  before ``w``, so the family's picks are read off the graph's edges,
+  a few big-int operations per edge, without reading an order.
+* ``verify_decomposition`` checks any family, whatever produced it, from
+  one sorted pass down its rankings
+  (:func:`~matchdecomp.bitsets.maxima_sets`).  It reads the family as a
+  set of orders, so its result does not depend on their order in the
+  family.
+
+Both give the same report, witness included.  ``decompose_market``
+returns one family per firm as a plain tuple, ready to be the
+``per_firm`` argument of :class:`~matchdecomp.association.OneToOneMarket`,
+and checks each family it walks on that walk's graph.  A market file's
+copy indexing is matched against the walk where the file is read, in
 :func:`~matchdecomp.io.parse_market`.
 """
 
 from __future__ import annotations
 
-from .bitsets import mask_of, maxima_sets
+from .bitsets import mask_of, maxima_sets, menu_sets
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import (
     ORDERS,
@@ -45,19 +56,25 @@ from .choices import (
     LinearOrder,
     check_path_independence,
 )
-from .errors import AxiomViolationError, CapExceededError
+from .errors import AxiomViolationError, CapExceededError, DecompositionMismatchError
 from .markets import ManyToOneMarket
 
 
-def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder]:
+def decompose(
+    cf: ChoiceFunction,
+    caps: Caps = DEFAULT_CAPS,
+    picks: dict[int, int] | None = None,
+) -> list[LinearOrder]:
     """All distinct orders realizable by maximal pick sequences of ``cf``.
 
     The result is sorted lexicographically by worker index sequence.
     Raises AxiomViolationError when ``cf`` is not path independent and
     CapExceededError when more than ``caps.max_orders`` distinct orders
-    appear; a refusal builds no order.  The result is not verified against
-    ``cf`` here: :func:`~matchdecomp.association.build_associated_market`
-    verifies every family once, whatever produced it.
+    appear; a refusal builds no order.  Nothing is verified here.  Given a
+    dict as ``picks``, the walk fills it with its menu graph, ``picks[menu]
+    = C(menu)`` for every menu it reaches, which :func:`verify_walk` checks
+    the family on; :func:`decompose_market` does so for every family it
+    walks.
 
     The pick sequences that continue from a menu depend on the menu alone,
     not on how it was reached, so the walk builds each reached menu's list
@@ -83,6 +100,8 @@ def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder
             "decomposition requires a path-independent choice function", pi
         )
     choose = cf.choose if cf.kind == ORDERS else cf._full_table.__getitem__
+    if picks is None:
+        picks = {}
     max_orders = caps.max_orders
     budget = (cf.universe_size + 1) * max_orders
     built = 0
@@ -90,7 +109,7 @@ def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder
 
     def walk(menu: int) -> list[tuple[int, ...]]:
         nonlocal built
-        chosen = choose(menu)
+        chosen = picks[menu] = choose(menu)
         if not chosen:
             return [()]
         found: list[tuple[int, ...]] = []
@@ -116,6 +135,46 @@ def decompose(cf: ChoiceFunction, caps: Caps = DEFAULT_CAPS) -> list[LinearOrder
         suffixes.clear()
 
 
+def verify_walk(
+    cf: ChoiceFunction, picks: dict[int, int], caps: Caps = DEFAULT_CAPS
+) -> AxiomReport:
+    """Check the family walked over the menu graph ``picks`` against ``cf``.
+
+    ``picks`` is what :func:`decompose` records: every menu the walk
+    reached, with the choice it read there.  An order of the family picks
+    ``w`` on menu ``S`` exactly when ``w`` is in ``S`` and ``S`` lies inside
+    ``M``, the menu the order had reached before it picked ``w``.  Every
+    edge ``(M, w)`` with ``w`` in ``picks[M]`` lies on some order, so the
+    family's picks are, for each worker ``w``, the union over those edges
+    of ``sub(M) & has[w]``, where ``sub(M)`` is the menu set of the menus
+    inside ``M``.  That is bit for bit what
+    :func:`verify_decomposition` reads down the family's orders, so the
+    report, witness included, is the same as its report on the walked
+    family, at a few big-int operations per edge instead of a pass over
+    every order.
+    """
+    k = cf.universe_size
+    require_universe(k, caps)
+    has = menu_sets(k)
+    picked = [0] * k
+    for menu, chosen in picks.items():
+        if not chosen:
+            continue
+        # the menus inside menu, as a menu set: worker w's bit, 1 << w,
+        # doubles the set by shifting it 1 << w menus up
+        inside = 1
+        while menu:
+            low = menu & -menu
+            menu ^= low
+            inside |= inside << low
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            w = low.bit_length() - 1
+            picked[w] |= inside & has[w]
+    return _compare(cf, picked)
+
+
 def verify_decomposition(
     cf: ChoiceFunction, orders: tuple[LinearOrder, ...], caps: Caps = DEFAULT_CAPS
 ) -> AxiomReport:
@@ -136,19 +195,32 @@ def verify_decomposition(
     """
     k = cf.universe_size
     require_universe(k, caps)
-    picked = maxima_sets((order.ranking for order in orders), k)
+    return _compare(cf, maxima_sets((order.ranking for order in orders), k))
+
+
+def _compare(cf: ChoiceFunction, picked) -> AxiomReport:
+    """The decomposition report for a family whose picks are ``picked``."""
     diff = 0
     for got, want in zip(picked, cf._menu_sets):
         diff |= got ^ want
     if not diff:
         return AxiomReport("decomposition", True)
     menu = (diff & -diff).bit_length() - 1
-    actual = mask_of(w for w in range(k) if picked[w] >> menu & 1)
+    actual = mask_of(w for w in range(cf.universe_size) if picked[w] >> menu & 1)
     return AxiomReport(
         "decomposition",
         False,
         {"menu": menu, "expected": cf.choose(menu), "actual": actual},
     )
+
+
+def require_recomposition(market: ManyToOneMarket, f: int, report: AxiomReport) -> None:
+    """Raise DecompositionMismatchError when firm ``f``'s family failed."""
+    if not report.passed:
+        raise DecompositionMismatchError(
+            f"orders for firm {market.firms[f]} do not recompose its "
+            f"choice function (witness {report.witness})"
+        )
 
 
 def decompose_market(
@@ -159,14 +231,22 @@ def decompose_market(
     """Every firm's order family, keeping an explicit per-firm copy indexing.
 
     Entry ``i`` is firm ``i``'s family; its order ``j`` is copy ``j + 1``.
-    A firm in ``explicit`` keeps that family as given and is not walked:
-    it is a market file's ``copy_indexing``, which ``parse_market`` has
-    already matched against the walk.  Nothing is verified here;
-    :func:`~matchdecomp.association.build_associated_market` verifies every
-    family, explicit or walked.
+    A firm in ``explicit`` keeps that family as given and is neither
+    walked nor checked here: it is a market file's ``copy_indexing``,
+    which ``parse_market`` has already matched against the walk, and
+    :func:`~matchdecomp.association.build_associated_market` verifies it.
+    Every other firm is walked, and its family is checked once, on the
+    walk's menu graph (:func:`verify_walk`); a family that does not
+    recompose its firm's choice function raises
+    DecompositionMismatchError.
     """
     explicit = explicit or {}
-    return tuple(
-        tuple(explicit[i] if i in explicit else decompose(cf, caps=caps))
-        for i, cf in enumerate(market.choice_functions)
-    )
+    families = []
+    for f, cf in enumerate(market.choice_functions):
+        if f in explicit:
+            families.append(tuple(explicit[f]))
+            continue
+        picks: dict[int, int] = {}
+        families.append(tuple(decompose(cf, caps, picks)))
+        require_recomposition(market, f, verify_walk(cf, picks, caps))
+    return tuple(families)

@@ -354,6 +354,26 @@ class TestAxioms:
         # LAD is independent of path independence
         assert check_path_independence(cf).passed
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
+    def test_lad_of_at_most_one_order_builds_no_table(self, k):
+        # |C(S)| is 1 exactly when S holds a worker the order ranks, else 0
+        rng = random.Random(k)
+        families = [(), (LinearOrder(()),)] + [
+            (LinearOrder(tuple(rng.sample(range(k), rng.randint(1, k)))),)
+            for _ in range(10 * (k > 0))
+        ]
+        for orders in families:
+            cf = ChoiceFunction.from_orders(orders, k)
+            report = check_lad(cf)
+            assert "_full_table" not in cf.__dict__
+            assert report == check_lad(canonicalize(cf)) == exhaustive_lad(cf)
+            assert report.passed
+
+    def test_lad_of_one_order_keeps_the_universe_cap(self):
+        cf = ChoiceFunction.from_orders((LinearOrder((2, 0)),), 3)
+        with pytest.raises(CapExceededError):
+            check_lad(cf, Caps(max_workers=2))
+
     def test_replay_rejects_passing_reports(self):
         cf = ChoiceFunction.from_orders((LinearOrder((0,)),), 1)
         assert replay_witness(cf, check_lad(cf)) is False

@@ -14,6 +14,7 @@ import pytest
 import matchdecomp
 from matchdecomp import (
     ChoiceFunction,
+    DecompositionMismatchError,
     GenParams,
     MarketDocument,
     build_associated_market,
@@ -21,7 +22,6 @@ from matchdecomp import (
     choices,
     cli,
     correspondence,
-    decompose_market,
     decomposition,
     dump_market,
     enumerate_stable,
@@ -48,6 +48,7 @@ from conftest import (
     full_scan_stable,
     with_first_firm,
 )
+from test_decomposition import choose_dropping_a_pick
 
 
 def run_cli(capsys, *argv):
@@ -71,16 +72,14 @@ def write_market(path, market) -> str:
 def full_scan_output(path: str, concept: str) -> str:
     """What ``enumerate`` prints, with the set taken from a full-scan oracle.
 
-    The copy market is built as the CLI builds it, through
-    ``decompose_market`` and the file's copy indexing.
+    The copy market is built as the CLI builds it, keeping the file's copy
+    indexing.
     """
     doc = load_market(path)
     if concept == "stable":
         rendered = [m.render(doc.market) for m in full_scan_stable(doc.market)]
     else:
-        assoc = build_associated_market(
-            doc.market, decompose_market(doc.market, doc.copy_indexing)
-        )
+        assoc = build_associated_market(doc.market, explicit=doc.copy_indexing)
         scan = full_scan_copy_stable if concept == "copy-stable" else full_scan_classical_stable
         rendered = [m.render(assoc) for m in scan(assoc)]
     report = {"concept": concept, "count": len(rendered), "matchings": rendered}
@@ -489,13 +488,17 @@ class TestPathIndependenceRequirement:
 
 class TestOncePerFirm:
     """Each copy-level command walks, verifies and axiom-checks each firm
-    exactly once, whether the file pins its copy indexing or not."""
+    exactly once, whether the file pins its copy indexing or not.  A walked
+    family is verified on its walk's menu graph, an indexed one down its
+    orders."""
 
     COUNTED = (
         (decomposition, "decompose"),
+        (decomposition, "verify_walk"),
         (decomposition, "verify_decomposition"),
         (choices, "check_path_independence"),
     )
+    VERIFIED_BY = {"indexed": "verify_decomposition", "unindexed": "verify_walk"}
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -514,8 +517,12 @@ class TestOncePerFirm:
         return calls
 
     @pytest.fixture(params=["indexed", "unindexed"])
-    def market_path(self, request, capsys, tmp_path):
-        if request.param == "indexed":
+    def indexing(self, request):
+        return request.param
+
+    @pytest.fixture()
+    def market_path(self, indexing, capsys, tmp_path):
+        if indexing == "indexed":
             return REFERENCE_PATH
         path = tmp_path / "m.json"
         code, _, _ = run_cli(
@@ -555,13 +562,16 @@ class TestOncePerFirm:
         ],
         ids=["decompose", "solve", "copy-stable", "classical", "verify"],
     )
-    def test_copy_level_commands(self, capsys, calls, market_path, argv):
+    def test_copy_level_commands(self, capsys, calls, indexing, market_path, argv):
         with open(market_path, encoding="utf-8") as fh:
             n_firms = len(json.load(fh)["firms"])
         code, _, _ = run_cli(capsys, argv[0], market_path, *argv[1:])
         assert code == 0
-        for name in calls:
+        verified_by = self.VERIFIED_BY[indexing]
+        for name in ("decompose", verified_by, "check_path_independence"):
             assert self.per_firm(calls, name) == [1] * n_firms, name
+        for name in set(self.VERIFIED_BY.values()) - {verified_by}:
+            assert calls[name] == [], name
 
     @pytest.mark.parametrize("command", ["validate", "check"])
     def test_firm_level_commands_verify_nothing(
@@ -572,7 +582,7 @@ class TestOncePerFirm:
         argv = [command, market_path] + ([str(matching)] if command == "check" else [])
         code, _, _ = run_cli(capsys, *argv)
         assert code in (0, 3)  # check may find the empty matching blocked
-        assert calls["verify_decomposition"] == []
+        assert calls["verify_decomposition"] == calls["verify_walk"] == []
 
     def test_validate_scans_each_indexed_firm_once(self, capsys, passes):
         # the reference firms are subset rankings with a copy indexing:
@@ -654,6 +664,29 @@ class TestErrorExitCodes:
     ):
         argv = setup(tmp_path, monkeypatch, bad_axiom_file)
         assert run_cli(capsys, *argv) == (code, "", json.dumps({"error": error}) + "\n")
+
+
+    def test_a_walk_that_does_not_recompose_exits_with_its_mismatch(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the walk's lowest pick from the full menu dropped (the firms are
+        # orders firms, whose walk asks choose): the family is refused by
+        # the check on the walk's menu graph, with the exit code and the
+        # message that verify_decomposition's refusal gives
+        market = random_market(GenParams(workers=5, firms=2, max_orders=2, seed=3))
+        path = write_market(tmp_path / "m.json", market)
+        dropped = choose_dropping_a_pick(ChoiceFunction.choose)
+        monkeypatch.setattr(ChoiceFunction, "choose", dropped)
+        cf = market.choice_functions[0]
+        orders = tuple(decomposition.decompose(cf))
+        report = decomposition.verify_decomposition(cf, orders)
+        error = (
+            "orders for firm f1 do not recompose its choice function "
+            "(witness {'menu': 1, 'expected': 1, 'actual': 0})"
+        )
+        assert error.endswith(f"(witness {report.witness})")
+        expected = (DecompositionMismatchError.exit_code, "", json.dumps({"error": error}) + "\n")
+        assert run_cli(capsys, "solve", path) == expected
 
 
 class TestGen:

@@ -32,6 +32,7 @@ from matchdecomp import (
     workers_propose,
 )
 from matchdecomp import decomposition
+from matchdecomp.decomposition import verify_walk
 from matchdecomp.bitsets import bit, iter_indices, member_sets
 from matchdecomp.choices import ORDERS, check_path_independence
 from matchdecomp.cli import main
@@ -303,6 +304,151 @@ class TestVerify:
                     assert actual == expected, (seed, name, target.kind)
 
 
+def walked(cf):
+    """The family ``decompose`` walks, and the menu graph it records."""
+    picks = {}
+    return tuple(decompose(cf, picks=picks)), picks
+
+
+def corrupted_walk(entries, k):
+    """The family walked over any table, with the path-independence gate
+    bypassed, and the menu graph the walk records."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            decomposition,
+            "check_path_independence",
+            lambda cf, caps: AxiomReport("path-independence", True),
+        )
+        return walked(ChoiceFunction.from_table(entries, k))
+
+
+def choose_dropping_a_pick(choose):
+    """``ChoiceFunction.choose`` with the lowest pick dropped from the full
+    menu's choice."""
+
+    def dropped(cf, menu):
+        chosen = choose(cf, menu)
+        return chosen & (chosen - 1) if menu == (1 << cf.universe_size) - 1 else chosen
+
+    return dropped
+
+
+class TestVerifyWalk:
+    """The check on the walk's menu graph reports what the check down the
+    walked family's orders does, verdict and witness."""
+
+    @given(order_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_order_unions_and_their_tables(self, cf):
+        for target in (cf, canonicalize(cf)):
+            orders, picks = walked(target)
+            report = verify_walk(target, picks)
+            assert report == verify_decomposition(target, orders)
+            assert report.passed
+
+    def test_reference_and_generated_markets(self, reference_market):
+        firms = list(reference_market.choice_functions)
+        for k in (0, 1):
+            for orders in ((), (LinearOrder(()),), (LinearOrder(tuple(range(k))),)):
+                firms.append(ChoiceFunction.from_orders(orders, k))
+        for k in range(3, 10):
+            for seed in range(3 if k < 9 else 1):
+                market = random_market(
+                    GenParams(workers=k, firms=3, max_orders=3, density=0.8, seed=seed)
+                )
+                firms += market.choice_functions
+        total = 0
+        for cf in firms:
+            orders, picks = walked(cf)
+            assert verify_walk(cf, picks) == verify_decomposition(cf, orders)
+            total += len(orders)
+        assert total > 3000
+
+    def test_graph_records_every_reached_menu_once(self, reference_market):
+        cf = reference_market.choice_functions[0]
+        orders, picks = walked(cf)
+        reached = {(1 << cf.universe_size) - 1}
+        for order in orders:
+            menu = (1 << cf.universe_size) - 1
+            for w in order.ranking:
+                menu ^= 1 << w
+                reached.add(menu)
+        assert picks == {menu: cf.choose(menu) for menu in reached}
+
+    def test_universe_cap_enforced(self, reference_market):
+        cf = reference_market.choice_functions[0]
+        _, picks = walked(cf)
+        with pytest.raises(CapExceededError):
+            verify_walk(cf, picks, Caps(max_workers=cf.universe_size - 1))
+
+    def test_walks_over_tables_that_are_not_path_independent(self):
+        # the identity the check rests on holds for any walk; a union of
+        # orders is path independent, so no family recomposes such a table,
+        # and both checks fail it with the same witness
+        tried = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            k = rng.randint(1, 6)
+            entries = (0,) + tuple(rng.randrange(1 << k) & m for m in range(1, 1 << k))
+            table = ChoiceFunction.from_table(entries, k)
+            if check_path_independence(table).passed:
+                continue
+            orders, picks = corrupted_walk(entries, k)
+            report = verify_walk(table, picks)
+            assert report == verify_decomposition(table, orders) == scan_verify(
+                table, orders
+            ), seed
+            assert not report.passed, seed
+            tried += 1
+        assert tried >= 140
+
+    def test_walks_with_one_pick_flipped(self):
+        # one worker toggled in the choice read at one reached menu; at the
+        # full menu, which no other edge covers, the family always fails
+        failures = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            k = rng.randint(1, 6)
+            cf = ChoiceFunction.from_orders(
+                tuple({random_order(rng, k) for _ in range(rng.randint(1, 3))}), k
+            )
+            _, clean = walked(cf)
+            full = (1 << k) - 1
+            menu = full if seed % 2 else rng.choice(sorted(clean))
+            if not menu:
+                continue
+            entries = list(canonicalize(cf).table)
+            entries[menu] ^= 1 << rng.choice(list(iter_indices(menu)))
+            orders, picks = corrupted_walk(entries, k)
+            report = verify_walk(cf, picks)
+            assert report == verify_decomposition(cf, orders) == scan_verify(
+                cf, orders
+            ), seed
+            if menu == full:
+                assert not report.passed, seed
+            failures += not report.passed
+        assert failures >= 120
+
+    def test_decompose_market_raises_the_mismatch(self, monkeypatch):
+        # an orders firm's walk asks choose; with one pick dropped the
+        # family no longer recomposes, and the error names the lowest
+        # failing menu
+        market = random_market(GenParams(workers=5, firms=2, max_orders=2, seed=3))
+        dropped = choose_dropping_a_pick(ChoiceFunction.choose)
+        monkeypatch.setattr(ChoiceFunction, "choose", dropped)
+        cf = market.choice_functions[0]
+        report = verify_decomposition(cf, tuple(decompose(cf)))
+        assert not report.passed
+        message = (
+            f"orders for firm {market.firms[0]} do not recompose its choice "
+            f"function (witness {report.witness})"
+        )
+        for build in (decompose_market, build_associated_market):
+            with pytest.raises(DecompositionMismatchError) as caught:
+                build(market)
+            assert str(caught.value) == message
+
+
 class TestRoundTrips:
     @given(order_unions())
     @settings(max_examples=100, deadline=None)
@@ -457,7 +603,8 @@ def test_copy_level_commands_build_no_table_for_orders_firms(
 ):
     # an orders firm's walk asks choose on the menus it reaches, and its
     # family is verified against menu sets read from its orders; validate
-    # and verify still build the table, for the law of aggregate demand
+    # and verify still build the table of a firm of more than one order,
+    # for the law of aggregate demand, and of no single-order firm
     market = random_market(params)
     path = str(tmp_path / "orders.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -469,6 +616,9 @@ def test_copy_level_commands_build_no_table_for_orders_firms(
     workers_propose(assoc)
     for argv in (["decompose"], ["solve"], ["solve", "--proposing", "copies"]):
         assert main([argv[0], path, *argv[1:]]) == 0
-    with pytest.raises(AssertionError, match="2\\*\\*k table"):
-        main(["validate", path])
+    if all(len(cf.orders) == 1 for cf in market.choice_functions):
+        assert main(["validate", path]) == 0
+    else:
+        with pytest.raises(AssertionError, match="2\\*\\*k table"):
+            main(["validate", path])
     capsys.readouterr()
