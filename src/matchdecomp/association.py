@@ -21,7 +21,12 @@ is the mask of workers copy ``c`` ranks above ``w``, or every bit (``-1``)
 when ``c`` does not rank ``w``, so ``c`` picks ``w`` from a menu ``S``
 holding ``w`` exactly when ``not S & copy_above[c][w]``: one mask test,
 however long the order.  The deferred acceptance runs, the stability
-checkers and the copy-stable enumerator all decide picks this way.
+checkers and the copy-stable enumerator all decide picks this way, and
+every other question they ask of an order is a mask test on the same
+table: ``c`` ranks ``w`` when ``copy_above[c][w] != -1``, and prefers
+``v`` to a ranked ``u`` when ``copy_above[c][u] >> v & 1``.  So it is
+the one per-copy table a command builds; ``copy_rank`` and
+``copy_empty_rank`` remain for library callers.
 
 The two maps between the market forms live here too.  ``merge_matching``
 collapses a one-to-one matching of the copies into a many-to-one matching:
@@ -146,6 +151,12 @@ class OneToOneMarket:
 
     @cached_property
     def copy_rank(self) -> tuple[tuple[int, ...], ...]:
+        """``copy_rank[c][w]``: ``w``'s position in copy ``c``'s order.
+
+        ``copy_empty_rank[c] + 1`` when ``c`` does not rank ``w``.  No
+        command builds it: every copy-level reader asks
+        ``copy_above`` instead.
+        """
         k = len(self.source.workers)
         rows = []
         for order in self.copies:
@@ -157,6 +168,11 @@ class OneToOneMarket:
 
     @cached_property
     def copy_empty_rank(self) -> tuple[int, ...]:
+        """The rank of staying empty for each copy, as ``copy_rank`` reads.
+
+        No command builds it: ``copy_above[c][w] == -1`` says that ``c``
+        does not rank ``w``.
+        """
         return tuple(len(order.ranking) for order in self.copies)
 
     @cached_property

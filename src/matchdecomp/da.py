@@ -54,6 +54,11 @@ visited within a stage: offer, screening and acceptance decisions read
 the previous stage's state, and the release pass reads the stage's end
 state.  The trace expands its records into one :class:`DaStage` per
 stage only when its ``stages`` are first read.
+
+:func:`trace_json_lines` renders each stage from a label template built
+once per call, so a stage costs its own offers, rejections and held
+workers, plus copying the all-``null`` ``by_copy`` body, not a pass
+over every copy's label.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ from .stability import check_copy_stable, require_stable
 
 COPIES = "copies"
 WORKERS = "workers"
+
+# json's own C string encoder: json.dumps of a str, as the trace lines need
+_encode = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -272,8 +280,6 @@ def workers_propose(
     """Worker-proposing deferred acceptance with sibling screening."""
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
-    crank = assoc.copy_rank
-    cempty = assoc.copy_empty_rank
     above = assoc.copy_above
     firm_of = assoc.firm_of_copy
     orders = assoc.copies
@@ -324,24 +330,23 @@ def workers_propose(
         hired = set()  # the firms that hired this stage
         for c in sorted(offers):
             candidates = offers[c]
-            row = crank[c]
+            row = above[c]
             f = firm_of[c]
             screen = start[f]
             if not screen & orders[c].mask:
                 valid = candidates  # no pick: every offer passes the screen
             else:
                 # an offering worker is held by no one, so it joins the menu
-                valid = [w for w in candidates if not (screen | 1 << w) & above[c][w]]
+                valid = [w for w in candidates if not (screen | 1 << w) & row[w]]
             valid_offers[c] = tuple(valid)
 
-            previous = held_by_copy[c]
-            best_rank = cempty[c] if previous is None else row[previous]
-            chosen = None
+            previous = chosen = held_by_copy[c]
             for w in valid:
-                if row[w] < best_rank:
-                    best_rank = row[w]
+                # w beats the best so far: ranked at all when there is
+                # none, else ranked above it
+                if row[w] != -1 if chosen is None else row[chosen] >> w & 1:
                     chosen = w
-            if chosen is None:
+            if chosen == previous:
                 rejected_here = candidates
             else:
                 rejected_here = [w for w in candidates if w != chosen]
@@ -435,34 +440,111 @@ def _idle_stages(
 
 
 def trace_json_lines(assoc: OneToOneMarket, trace: DaTrace) -> list[str]:
-    """One compact JSON object per stage, with labels, bit-stable across runs."""
+    """One compact JSON object per stage, with labels, bit-stable across runs.
+
+    Each line is ``json.dumps(record, sort_keys=True, separators=(",",
+    ":"))`` of the stage's record, written from a template built once per
+    call: every label JSON-encoded once, each agent's slot in sorted-label
+    order, and an all-``null`` ``by_copy`` body with the offset of each
+    copy's ``null``.  A stage then splices its at most k held workers into
+    that body and sorts only its own offers, rejections and screening
+    results by slot, so beyond copying the body it costs O(its own work
+    + k log k), not a pass over every copy.  Every stage's matching is
+    still read, so each snapshot is validated as it is printed.
+    """
     workers = assoc.source.workers
-    copies = assoc.copy_labels
+    labels = assoc.copy_labels
+    worker_json = list(map(_encode, workers))
+    copy_json = list(map(_encode, labels))
+    worker_order = sorted(range(len(workers)), key=workers.__getitem__)
+    copy_order = sorted(range(len(labels)), key=labels.__getitem__)
+    worker_slot = _slots(worker_order)
+    copy_slot = _slots(copy_order)
+    body = ",".join(copy_json[c] + ":null" for c in copy_order)
+    null_at = []  # where each slot's null starts in body
+    end = 0
+    for c in copy_order:
+        end += len(copy_json[c]) + 1
+        null_at.append(end)
+        end += len("null,")
+    # each worker's held copy, or null, after its key
+    held_json = dict(enumerate(copy_json))
+    held_json[None] = "null"
+    worker_keys = [(w, worker_json[w] + ":") for w in worker_order]
+    # each copy's authorized member, indexed by the verdict
+    verdicts = ([j + ":false" for j in copy_json], [j + ":true" for j in copy_json])
+
     if trace.proposing == COPIES:
-        receiver, proposer = workers, copies
+        receiver, receiver_slot, proposer = worker_json, worker_slot, copy_json
     else:
-        receiver, proposer = copies, workers
+        receiver, receiver_slot, proposer = copy_json, copy_slot, worker_json
+    proposing = _encode(trace.proposing)
+
     lines = []
     for stage in trace.stages:
-        record = {
-            "stage": stage.number,
-            "proposing": trace.proposing,
-            "offers": {
-                receiver[r]: [proposer[p] for p in ps]
-                for r, ps in stage.offers.items()
-            },
-            "rejections": {
-                receiver[r]: [proposer[p] for p in ps]
-                for r, ps in stage.rejections.items()
-            },
-            "matching": stage.matching.render(assoc),
-        }
+        by_worker = stage.matching.by_worker
+        by_copy = []
+        cut = 0
+        for slot, w in sorted(
+            (copy_slot[c], w) for w, c in enumerate(by_worker) if c is not None
+        ):
+            at = null_at[slot]
+            by_copy += (body[cut:at], worker_json[w])
+            cut = at + len("null")
+        by_copy.append(body[cut:])
+        line = ["{"]
         if stage.authorized is not None:
-            record["authorized"] = {copies[c]: ok for c, ok in stage.authorized.items()}
+            authorized = stage.authorized
+            line += (
+                '"authorized":{',
+                ",".join(
+                    [
+                        verdicts[authorized[c]][c]
+                        for c in sorted(authorized, key=copy_slot.__getitem__)
+                    ]
+                ),
+                "},",
+            )
+        line += (
+            '"matching":{"by_copy":{',
+            *by_copy,
+            '},"by_worker":{',
+            ",".join([key + held_json[by_worker[w]] for w, key in worker_keys]),
+            '}},"offers":{',
+            _listing(stage.offers, receiver, receiver_slot, proposer),
+            f'}},"proposing":{proposing},"rejections":{{',
+            _listing(stage.rejections, receiver, receiver_slot, proposer),
+            f'}},"stage":{stage.number}',
+        )
         if stage.valid_offers is not None:
-            record["valid_offers"] = {
-                copies[c]: [workers[w] for w in ws]
-                for c, ws in stage.valid_offers.items()
-            }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            line += (
+                ',"valid_offers":{',
+                _listing(stage.valid_offers, copy_json, copy_slot, worker_json),
+                "}",
+            )
+        line.append("}")
+        lines.append("".join(line))
     return lines
+
+
+def _slots(order: list[int]) -> list[int]:
+    """``slots[i]``: the position of index ``i`` in ``order``."""
+    slots = [0] * len(order)
+    for slot, i in enumerate(order):
+        slots[i] = slot
+    return slots
+
+
+def _listing(
+    lists: dict[int, tuple[int, ...]],
+    key_json: list[str],
+    key_slot: list[int],
+    value_json: list[str],
+) -> str:
+    """The members of a JSON object of label lists, keys in label order."""
+    return ",".join(
+        [
+            key_json[r] + ":[" + ",".join([value_json[p] for p in lists[r]]) + "]"
+            for r in sorted(lists, key=key_slot.__getitem__)
+        ]
+    )

@@ -128,7 +128,11 @@ def decompose(
         return found
 
     try:
-        return [LinearOrder(ranking) for ranking in walk((1 << cf.universe_size) - 1)]
+        # a pick sequence removes each worker it picks from the menu, so it
+        # repeats none, and every pick is a bit of the menu: no order needs
+        # LinearOrder's two refusals
+        trusted = LinearOrder._trusted
+        return [trusted(ranking) for ranking in walk((1 << cf.universe_size) - 1)]
     finally:
         # walk holds itself through its closure, so without this the memo
         # would stay alive until the cyclic collector found the pair

@@ -249,8 +249,6 @@ def _check_one_to_one(
         raise MarketValidationError("matching covers a different copy count")
     wrank = assoc.worker_rank
     wempty = assoc.worker_empty_rank
-    crank = assoc.copy_rank
-    cempty = assoc.copy_empty_rank
     above = assoc.copy_above
     by_worker = matching.by_worker
     by_copy = matching.by_copy
@@ -259,19 +257,21 @@ def _check_one_to_one(
         if c is not None and wrank[w][c] > wempty[w]:
             return StabilityReport(False, WORKER_BLOCK, {"worker": w})
     for c, w in enumerate(by_copy):
-        if w is not None and crank[c][w] > cempty[c]:
+        if w is not None and above[c][w] == -1:
             return StabilityReport(False, FIRM_BLOCK, {"copy": c})
     held = [0] * (max(shield_of, default=-1) + 1)
     for w, c in enumerate(by_worker):
         if c is not None:
             held[shield_of[c]] |= bit(w)
     for c, w in enumerate(by_copy):
-        group = shield_of[c]
-        if w is None or not held[group] & above[c][w]:
+        if w is None:
             continue
-        row = crank[c]
+        group = shield_of[c]
+        ahead = above[c][w]  # the workers c ranks above its own
+        if not held[group] & ahead:
+            continue
         for mate, envied in enumerate(by_copy):
-            if shield_of[mate] == group and envied is not None and row[envied] < row[w]:
+            if shield_of[mate] == group and envied is not None and ahead >> envied & 1:
                 return StabilityReport(
                     False, COPY_ENVY, {"copy": c, "envied_copy": mate}
                 )
@@ -337,10 +337,9 @@ def check_classical_stable(
 
 def _mutual_lists(assoc: OneToOneMarket) -> list[tuple[int, ...]]:
     """Each worker's lifted copies that rank it, in the worker's order."""
-    crank = assoc.copy_rank
-    cempty = assoc.copy_empty_rank
+    above = assoc.copy_above
     return [
-        tuple(c for c in lifted if crank[c][w] < cempty[c])
+        tuple(c for c in lifted if above[c][w] != -1)
         for w, lifted in enumerate(assoc.worker_prefs)
     ]
 
@@ -420,7 +419,7 @@ def enumerate_classical_stable(
     """
     k = len(assoc.source.workers)
     n_copies = len(assoc.copies)
-    crank = assoc.copy_rank
+    above = assoc.copy_above
     lists = _mutual_lists(assoc)
     tried = 0
 
@@ -442,14 +441,14 @@ def enumerate_classical_stable(
             c = lists[w][pos[w]]
             charge()
             held = holder[c]
-            if held is None or crank[c][w] < crank[c][held]:
+            if held is None or above[c][held] >> w & 1:
                 holder[c] = w
                 w = held
 
     def break_marriage(pos, holder, i):
         pos, holder = list(pos), list(holder)
         vacant = lists[i][pos[i]]
-        bar = crank[vacant][i]
+        bar = above[vacant][i]  # the workers vacant ranks above i
         holder[vacant] = None
         w = i
         while True:
@@ -460,12 +459,12 @@ def enumerate_classical_stable(
             charge()
             held = holder[c]
             if c == vacant:
-                if crank[c][w] < bar:
+                if bar >> w & 1:
                     holder[c] = w
                     return pos, holder
             elif held is None:
                 return None
-            elif crank[c][w] < crank[c][held]:
+            elif above[c][held] >> w & 1:
                 if held < i:
                     return None
                 holder[c] = w

@@ -27,6 +27,7 @@ from matchdecomp import (
     workers_propose,
 )
 from matchdecomp.bitsets import bit, iter_indices
+from matchdecomp.da import COPIES
 from matchdecomp.stability import require_stable
 
 from conftest import (
@@ -450,6 +451,112 @@ class TestSnapshotsOnRead:
         for stage, line in zip(trace.stages, first):
             assert stage.matching.by_worker == stage.by_worker
             assert json.loads(line)["matching"] == stage.matching.render(reference_assoc)
+
+
+def dict_trace_json_lines(assoc, trace):
+    """Test oracle: each stage as a dict of labels, through ``json.dumps``."""
+    workers = assoc.source.workers
+    copies = assoc.copy_labels
+    if trace.proposing == COPIES:
+        receiver, proposer = workers, copies
+    else:
+        receiver, proposer = copies, workers
+    lines = []
+    for stage in trace.stages:
+        record = {
+            "stage": stage.number,
+            "proposing": trace.proposing,
+            "offers": {
+                receiver[r]: [proposer[p] for p in ps]
+                for r, ps in stage.offers.items()
+            },
+            "rejections": {
+                receiver[r]: [proposer[p] for p in ps]
+                for r, ps in stage.rejections.items()
+            },
+            "matching": stage.matching.render(assoc),
+        }
+        if stage.authorized is not None:
+            record["authorized"] = {copies[c]: ok for c, ok in stage.authorized.items()}
+        if stage.valid_offers is not None:
+            record["valid_offers"] = {
+                copies[c]: [workers[w] for w in ws]
+                for c, ws in stage.valid_offers.items()
+            }
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return lines
+
+
+def labelled_market():
+    """Non-ASCII, astral and escaped labels, dotted firm ids, and at least
+    ten copies per firm, so sorted labels are not in index order."""
+    rng = random.Random(7)
+    workers = ("ü", "w", "\U0001f600", "A.b", "é", "\u2028x", 'q"\\', "z")
+    firms = ("é.f", "\U0001d504.1", "b")
+    k = len(workers)
+    cfs = []
+    for _ in firms:
+        orders = set()
+        while len(orders) < 11:
+            ranking = rng.sample(range(k), k)
+            orders.add(LinearOrder(tuple(ranking[: rng.randint(1, k)])))
+        cfs.append(ChoiceFunction.from_orders(tuple(sorted(orders, key=repr)), k))
+    prefs = tuple(
+        tuple(rng.sample(range(len(firms)), rng.randint(1, len(firms))))
+        for _ in workers
+    )
+    return ManyToOneMarket(workers, firms, tuple(cfs), prefs)
+
+
+def _traced_runs(assoc):
+    """Every trace of ``assoc``: both directions, default and strict."""
+    for run, strict in ((copies_propose, "reauthorize"), (workers_propose, "release")):
+        for flag in (True, False):
+            try:
+                yield run(assoc, **{strict: flag})[1]
+            except DeferredAcceptanceError:
+                pass
+
+
+class TestTraceRenderer:
+    """The template renderer writes the dict oracle's bytes."""
+
+    def test_reference_market(self, reference_assoc):
+        traces = list(_traced_runs(reference_assoc))
+        assert len(traces) == 4
+        for trace in traces:
+            lines = trace_json_lines(reference_assoc, trace)
+            assert lines == dict_trace_json_lines(reference_assoc, trace)
+
+    def test_generated_markets(self):
+        idle = offer_free = wide = 0
+        for k, seed, max_orders in (
+            (4, 3, 3), (5, 6, 2), (6, 6, 3), (7, 5, 2), (8, 5, 3), (9, 3, 2), (9, 6, 2)
+        ):
+            market = random_market(
+                GenParams(
+                    workers=k, firms=3, max_orders=max_orders, density=0.8, seed=seed
+                )
+            )
+            assoc = build_associated_market(market)
+            wide += max(map(len, assoc.per_firm)) >= 10
+            for trace in _traced_runs(assoc):
+                idle += any(isinstance(r, IdleStretch) for r in trace.records)
+                offer_free += trace.stages[-1].offers == {}
+                lines = trace_json_lines(assoc, trace)
+                assert lines == dict_trace_json_lines(assoc, trace), (k, seed)
+        assert idle and offer_free and wide
+
+    def test_labels_outside_ascii_and_out_of_index_order(self):
+        assoc = family_association(labelled_market())
+        assert all(len(orders) >= 10 for orders in assoc.per_firm)
+        assert list(assoc.copy_labels) != sorted(assoc.copy_labels)
+        traces = list(_traced_runs(assoc))
+        assert {trace.proposing for trace in traces} == {"copies", "workers"}
+        for trace in traces:
+            assert trace.stage_count > 1
+            lines = trace_json_lines(assoc, trace)
+            assert lines == dict_trace_json_lines(assoc, trace)
 
 
 @pytest.mark.parametrize("direction", [copies_propose, workers_propose])

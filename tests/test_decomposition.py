@@ -333,6 +333,39 @@ def choose_dropping_a_pick(choose):
     return dropped
 
 
+def assert_checked(orders):
+    """Each order equals the checked ``LinearOrder`` over its ranking."""
+    for order in orders:
+        checked = LinearOrder(order.ranking)
+        assert order == checked
+        assert hash(order) == hash(checked)
+        assert order.mask == checked.mask
+
+
+class TestTrustedOrders:
+    """Walked orders skip LinearOrder's refusals and are otherwise the
+    orders the checked constructor builds."""
+
+    @given(order_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_order_unions_and_their_tables(self, cf):
+        for target in (cf, canonicalize(cf)):
+            assert_checked(decompose(target))
+
+    def test_generated_firms(self):
+        total = 0
+        for k in range(3, 10):
+            for seed in range(3 if k < 9 else 1):
+                market = random_market(
+                    GenParams(workers=k, firms=3, max_orders=3, density=0.8, seed=seed)
+                )
+                for cf in market.choice_functions:
+                    orders = decompose(cf)
+                    assert_checked(orders)
+                    total += len(orders)
+        assert total > 3000
+
+
 class TestVerifyWalk:
     """The check on the walk's menu graph reports what the check down the
     walked family's orders does, verdict and witness."""
@@ -558,12 +591,13 @@ class TestOrderCap:
     def test_whole_menu_table_refuses_without_building_an_order(self, monkeypatch):
         # C(m) = m has |m|! orders below menu m: 40,320 at k = 8
         built = []
+        trusted = LinearOrder._trusted
 
         def counting(ranking):
             built.append(ranking)
-            return LinearOrder(ranking)
+            return trusted(ranking)
 
-        monkeypatch.setattr(decomposition, "LinearOrder", counting)
+        monkeypatch.setattr(LinearOrder, "_trusted", counting)
         cf = ChoiceFunction.from_table(range(1 << 8), 8)
         with pytest.raises(CapExceededError) as caught:
             decompose(cf)

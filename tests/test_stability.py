@@ -17,7 +17,9 @@ from matchdecomp import (
     LinearOrder,
     ManyToOneMarket,
     ManyToOneMatching,
+    MarketDocument,
     MarketValidationError,
+    OneToOneMarket,
     OneToOneMatching,
     StabilityReport,
     build_associated_market,
@@ -29,6 +31,7 @@ from matchdecomp import (
     check_substitutability,
     copies_propose,
     decompose_market,
+    dump_market,
     enumerate_classical_stable,
     enumerate_copy_stable,
     enumerate_stable,
@@ -40,12 +43,14 @@ from matchdecomp import (
     workers_propose,
 )
 from matchdecomp import stability
+from matchdecomp.cli import main
 from matchdecomp.stability import COPY_ENVY, FIRM_BLOCK, PAIR_BLOCK, WORKER_BLOCK
 
 from conftest import (
     GOLDEN_COPY_STABLE,
     GOLDEN_STABLE,
     MU_FIRM,
+    REFERENCE_PATH,
     LAM_FIRM,
     LAM_WORKER,
     copy_sets,
@@ -1033,6 +1038,35 @@ def test_copy_level_code_never_reads_a_choice_function(seed, reference_assoc, mo
         monkeypatch.setattr(ChoiceFunction, name, _Unreadable(f"ChoiceFunction.{name}"))
     monkeypatch.setattr(LinearOrder, "best_in", _Unreadable("LinearOrder.best_in"))
     assert copy_level_results(assoc) == expected
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_no_command_builds_a_rank_table(seed, tmp_path, monkeypatch, capsys):
+    # every copy-level reader asks copy_above, so copy_rank and
+    # copy_empty_rank are built by no command; the reference market has an
+    # explicit copy indexing, the generated ones are walked
+    if seed is None:
+        path = REFERENCE_PATH
+    else:
+        market = random_market(
+            GenParams(workers=5, firms=2 + seed % 2, max_orders=2, seed=seed)
+        )
+        path = str(tmp_path / "market.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_market(MarketDocument(market)))
+    for name in ("copy_rank", "copy_empty_rank"):
+        monkeypatch.setattr(OneToOneMarket, name, _Unreadable(f"OneToOneMarket.{name}"))
+    for argv in (
+        ["decompose"],
+        ["solve", "--proposing", "copies", "--trace"],
+        ["solve", "--proposing", "workers", "--trace"],
+        ["enumerate", "--concept", "stable"],
+        ["enumerate", "--concept", "copy-stable"],
+        ["enumerate", "--concept", "classical"],
+        ["verify"],
+    ):
+        assert main([argv[0], path, *argv[1:]]) == 0, argv
+    capsys.readouterr()
 
 
 @given(st.integers(min_value=0, max_value=10_000))
