@@ -13,6 +13,9 @@ structural rules:
 Copies of firms a worker finds unacceptable do not appear in the lifted
 list at all.  Copies, their firms, labels and lifted lists are derived
 from the families alone, so both rules hold by construction.
+``build_associated_market`` gets its families checked by
+:func:`~matchdecomp.decomposition.decompose_market` and checks only
+families handed in to it.
 
 Every copy-level decision between siblings rests on one rule: a copy's
 *pick* from a set of workers is its best worker there by its own order.
@@ -205,25 +208,19 @@ def build_associated_market(
 ) -> OneToOneMarket:
     """Assemble the copies over verified order families of the market.
 
-    With ``per_firm=None`` the market is decomposed by
-    :func:`~matchdecomp.decomposition.decompose_market`: a firm in
-    ``explicit`` (a market file's ``copy_indexing``) keeps that family,
-    and every other firm's copies are numbered lexicographically.
-    ``explicit`` is read only then.  Supplied families may use any
-    indexing and even a different (e.g. hand-built) order family.  Either
-    way this verifies every family once: a walked one on its walk's menu
-    graph, inside ``decompose_market``, and one handed in, explicit or in
-    ``per_firm``, here, by ``verify_decomposition``.  It must recompose to
-    the firm's choice function.
+    With ``per_firm=None`` the market is decomposed, and every family
+    checked, by :func:`~matchdecomp.decomposition.decompose_market`: a
+    firm in ``explicit`` (a market file's ``copy_indexing``) keeps that
+    family, and every other firm's copies are numbered lexicographically.
+    ``explicit`` is read only then.  Families handed in as ``per_firm``
+    may use any indexing and even a different (e.g. hand-built) order
+    family; each is checked here, by ``verify_decomposition``.  Every
+    family must recompose to its firm's choice function.
     """
     if per_firm is None:
-        per_firm = decompose_market(market, explicit, caps)
-        handed_in = sorted(explicit or ())  # the rest are checked already
-    else:
-        handed_in = range(len(per_firm))
+        return OneToOneMarket(market, decompose_market(market, explicit, caps))
     assoc = OneToOneMarket(market, per_firm)
-    for f in handed_in:
-        cf, orders = market.choice_functions[f], assoc.per_firm[f]
+    for f, (cf, orders) in enumerate(zip(market.choice_functions, assoc.per_firm)):
         require_recomposition(market, f, verify_decomposition(cf, orders, caps))
     return assoc
 

@@ -9,17 +9,18 @@ menus: bit ``m`` stands for the menu with mask ``m``.  :func:`menu_sets`
 gives, for each worker, the menus it belongs to.  A choice function's
 menu sets, the menus on which it chooses each worker, come from one of
 two places: :func:`member_sets` transposes an explicit ``2**k`` table, and
-:func:`maxima_sets` reads a family of rankings directly, the menus on
-which each worker is some ranking's best.  Either way an axiom check or a
-family check can then test every menu at once with a few big-int
-operations.
+:func:`graph_sets` reads a menu graph, the picks on each menu reached
+from the full one, which is either the graph a decomposition walk
+records or a family of rankings laid on one graph by
+:func:`prefix_graph`.  Either way an axiom check or a family check can
+then test every menu at once with a few big-int operations.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache
 
 
@@ -105,38 +106,54 @@ def member_sets(entries: Sequence[int], k: int) -> tuple[int, ...]:
     )
 
 
-def maxima_sets(rankings: Iterable[tuple[int, ...]], k: int) -> tuple[int, ...]:
-    """For each of ``k`` workers, the menus on which some ranking's best is it.
+def prefix_graph(rankings: Iterable[tuple[int, ...]], k: int) -> dict[int, int]:
+    """The menu graph of a family of rankings, for :func:`graph_sets`.
 
-    All ``2**k`` menus go down a ranking together as one menu set: at
-    worker ``w`` the menus containing ``w`` stop, with ``w`` as their best,
-    and the rest go on.  Rankings that share a prefix agree on every menu
-    that misses it, so the rankings are taken in sorted order, which puts
-    shared prefixes next to each other.  For each depth ``d`` the pass keeps
-    the menus holding none of the previous ranking's first ``d`` workers,
-    and starts each ranking after the prefix it shares with the previous
-    one.  The result is a union over the rankings, so their order, repeats,
-    empty rankings and rankings that are prefixes of others change nothing.
-    A worker index ``k`` or above is on no menu and is passed over.
+    Each ranking picks its next worker on the full menu minus the workers
+    it ranks above, so its picks are one path down the graph.  A worker
+    index ``k`` or above is on no menu and is passed over, as is a worker
+    the ranking repeats.
+    """
+    graph: dict[int, int] = {}
+    full = (1 << k) - 1
+    for ranking in rankings:
+        menu = full
+        for w in ranking:
+            low = 1 << w
+            if menu & low:
+                graph[menu] = graph.get(menu, 0) | low
+                menu ^= low
+    return graph
+
+
+def graph_sets(graph: Mapping[int, int], k: int) -> tuple[int, ...]:
+    """For each of ``k`` workers, the menus on which a path of ``graph`` picks it.
+
+    ``graph[M]`` is the set of workers picked on menu ``M``, and picking
+    ``w`` leads to menu ``M - {w}``.  A path through ``M`` that picks ``w``
+    there picks it on every menu inside ``M`` that holds ``w``, so each
+    edge adds ``inside(M) & has[w]``, where ``inside(M)`` is the menu set
+    of the menus inside ``M``; the menus inside ``M - {w}`` are those
+    that miss ``w``.  The walk starts at the full menu and visits each
+    menu it reaches once.  A menu it cannot reach and a pick outside its
+    menu add nothing.
     """
     has = menu_sets(k)
-    best = [0] * k
-    # left[d]: the menus holding none of the previous ranking's first d workers
-    left = [(1 << (1 << k)) - 1]
-    previous: tuple[int, ...] = ()
-    for ranking in sorted(rankings):
-        shared = 0
-        for a, b in zip(previous, ranking):
-            if a != b:
-                break
-            shared += 1
-        del left[shared + 1 :]
-        menus = left[shared]
-        for w in ranking[shared:]:
-            if w < k:
-                present = menus & has[w]
-                best[w] |= present
-                menus ^= present
-            left.append(menus)
-        previous = ranking
-    return tuple(best)
+    picked = [0] * k
+    full = (1 << k) - 1
+    stack = [(full, (1 << (1 << k)) - 1)]
+    seen = {full}
+    while stack:
+        menu, inside = stack.pop()
+        chosen = graph.get(menu, 0) & menu
+        while chosen:
+            low = chosen & -chosen
+            chosen ^= low
+            w = low.bit_length() - 1
+            present = inside & has[w]
+            picked[w] |= present
+            child = menu ^ low
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, inside ^ present))
+    return tuple(picked)

@@ -50,9 +50,8 @@ all read the one pass.  Each public checker applies the ``2**k`` guard,
 The menu sets of a ``table`` or ``subset_ranking`` function are
 transposed from its ``2**k`` table
 (:func:`~matchdecomp.bitsets.member_sets`).  Those of an ``orders``
-function come straight from its orders, in one sorted pass that sends
-all menus down each order together
-(:func:`~matchdecomp.bitsets.maxima_sets`), the same pass that checks a
+function come straight from its orders, laid on one menu graph and read
+by :func:`~matchdecomp.bitsets.graph_sets`, the routine that checks a
 decomposition.  So deciding its path independence, walking its
 decomposition and checking a family against it build no table for an
 ``orders`` function, and neither do ``decompose`` and ``solve``.  The
@@ -74,12 +73,13 @@ from functools import cached_property
 
 from .bitsets import (
     bit,
+    graph_sets,
     iter_indices,
     iter_submasks,
     mask_of,
-    maxima_sets,
     member_sets,
     menu_sets,
+    prefix_graph,
 )
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .errors import MarketValidationError
@@ -241,7 +241,8 @@ class ChoiceFunction:
         # bit m of item w is on when w is in C(m); callers guard the 2**k
         # cost.  An orders function reads its own orders, with no table.
         if self.kind == ORDERS:
-            return maxima_sets((o.ranking for o in self.orders), self.universe_size)
+            k = self.universe_size
+            return graph_sets(prefix_graph((o.ranking for o in self.orders), k), k)
         return member_sets(self._full_table, self.universe_size)
 
     # The pass and the verdict below are kept, so each function is scanned

@@ -19,35 +19,34 @@ reaches, and no ``2**k`` table is built for it.  The inverse direction,
 the union of an order family, is ``ChoiceFunction.from_orders``.
 
 A family is checked against its function, ``C(S)`` equal to the union of
-the orders' picks on every one of the ``2**k`` menus, in one of two
-ways, and each comparison is with the function's menu sets (bit ``m`` of
-worker ``w``'s set is on when ``w`` is in ``C(m)``).  An ``orders``
-function's menu sets come straight from its own orders, so neither
-check builds a table for it.
+the orders' picks on every one of the ``2**k`` menus, by comparing the
+family's picks with the function's menu sets (bit ``m`` of worker ``w``'s
+set is on when ``w`` is in ``C(m)``).  One routine reads every family's
+picks, :func:`~matchdecomp.bitsets.graph_sets`, from a menu graph: the
+picks on each menu reached from the full one, each edge ``(M, w)``
+picking ``w`` on every menu inside ``M`` that holds it.  An ``orders``
+function's menu sets come from its own orders the same way, so no check
+builds a table for it.
 
-* ``verify_walk`` checks a walked family on the walk's menu graph: the
-  reached menus and the choice read on each, which ``decompose``
-  records on request.  An order picks ``w`` on menu ``S`` exactly when
-  ``w`` is in ``S`` and ``S`` lies inside the menu the order had reached
-  before ``w``, so the family's picks are read off the graph's edges,
-  a few big-int operations per edge, without reading an order.
-* ``verify_decomposition`` checks any family, whatever produced it, from
-  one sorted pass down its rankings
-  (:func:`~matchdecomp.bitsets.maxima_sets`).  It reads the family as a
-  set of orders, so its result does not depend on their order in the
-  family.
+* ``verify_walk`` reads the graph a walk records, the reached menus and
+  the choice read on each, without reading an order.
+* ``verify_decomposition`` checks any family, whatever produced it, on
+  the graph its orders lay down, each a path from the full menu
+  (:func:`~matchdecomp.bitsets.prefix_graph`).
 
-Both give the same report, witness included.  ``decompose_market``
-returns one family per firm as a plain tuple, ready to be the
-``per_firm`` argument of :class:`~matchdecomp.association.OneToOneMarket`,
-and checks each family it walks on that walk's graph.  A market file's
-copy indexing is matched against the walk where the file is read, in
-:func:`~matchdecomp.io.parse_market`.
+Both give the same report on a walked family, witness included.
+``decompose_market`` returns one family per firm as a plain tuple, ready
+to be the ``per_firm`` argument of
+:class:`~matchdecomp.association.OneToOneMarket`, and is where every
+family of a copy market is checked, once: a walked family on its walk's
+graph, an explicit one (a market file's copy indexing, already matched
+against the walk in :func:`~matchdecomp.io.parse_market`) down its
+orders.
 """
 
 from __future__ import annotations
 
-from .bitsets import mask_of, maxima_sets, menu_sets
+from .bitsets import graph_sets, mask_of, prefix_graph
 from .caps import DEFAULT_CAPS, Caps, require_universe
 from .choices import (
     ORDERS,
@@ -145,38 +144,17 @@ def verify_walk(
     """Check the family walked over the menu graph ``picks`` against ``cf``.
 
     ``picks`` is what :func:`decompose` records: every menu the walk
-    reached, with the choice it read there.  An order of the family picks
-    ``w`` on menu ``S`` exactly when ``w`` is in ``S`` and ``S`` lies inside
-    ``M``, the menu the order had reached before it picked ``w``.  Every
-    edge ``(M, w)`` with ``w`` in ``picks[M]`` lies on some order, so the
-    family's picks are, for each worker ``w``, the union over those edges
-    of ``sub(M) & has[w]``, where ``sub(M)`` is the menu set of the menus
-    inside ``M``.  That is bit for bit what
-    :func:`verify_decomposition` reads down the family's orders, so the
-    report, witness included, is the same as its report on the walked
-    family, at a few big-int operations per edge instead of a pass over
-    every order.
+    reached, with the choice it read there.  Every order of the family is
+    a path down that graph from the full menu, and every such path is an
+    order, so the family's picks are the graph's
+    (:func:`~matchdecomp.bitsets.graph_sets`), read without a pass over
+    any order.  A menu the full menu cannot reach adds nothing, and
+    neither does a pick outside its menu.  The report, witness included,
+    is the one :func:`verify_decomposition` gives on the walked family.
     """
     k = cf.universe_size
     require_universe(k, caps)
-    has = menu_sets(k)
-    picked = [0] * k
-    for menu, chosen in picks.items():
-        if not chosen:
-            continue
-        # the menus inside menu, as a menu set: worker w's bit, 1 << w,
-        # doubles the set by shifting it 1 << w menus up
-        inside = 1
-        while menu:
-            low = menu & -menu
-            menu ^= low
-            inside |= inside << low
-        while chosen:
-            low = chosen & -chosen
-            chosen ^= low
-            w = low.bit_length() - 1
-            picked[w] |= inside & has[w]
-    return _compare(cf, picked)
+    return _compare(cf, graph_sets(picks, k))
 
 
 def verify_decomposition(
@@ -184,22 +162,21 @@ def verify_decomposition(
 ) -> AxiomReport:
     """Check that the union of the orders' maxima equals ``cf`` menu by menu.
 
-    The family's picks over all ``2**k`` menus come from one sorted pass,
-    :func:`~matchdecomp.bitsets.maxima_sets`, which reads the family as a
-    set of orders, so their order in the family does not change the
-    result.  Duplicate orders, empty orders, orders that are prefixes of
-    others and workers outside the universe need no special case.  The
-    picks are then compared with the function's menu sets (bit ``m`` of
-    worker ``w``'s set is on when ``w`` is in ``C(m)``), k big-int
-    operations in all; an ``orders`` function's own menu sets come from
-    the same pass over its orders, with no ``2**k`` table.  On a failure
-    the witness is the smallest menu mask where the union differs, as a
-    menu-by-menu scan would find, and its expected value is read through
-    ``choose``.
+    The orders are laid on one menu graph, each as a path from the full
+    menu (:func:`~matchdecomp.bitsets.prefix_graph`), whose picks are read
+    as :func:`verify_walk` reads a walk's.  The family is read as a set
+    of orders, so their order in the family, repeats, empty orders,
+    orders that are prefixes of others and workers outside the universe
+    change nothing.  The picks are then compared with the function's menu
+    sets (bit ``m`` of worker ``w``'s set is on when ``w`` is in
+    ``C(m)``).  On a failure the witness is the smallest menu mask where
+    the union differs, as a menu-by-menu scan would find, and its
+    expected value is read through ``choose``.
     """
     k = cf.universe_size
     require_universe(k, caps)
-    return _compare(cf, maxima_sets((order.ranking for order in orders), k))
+    rankings = (order.ranking for order in orders)
+    return _compare(cf, graph_sets(prefix_graph(rankings, k), k))
 
 
 def _compare(cf: ChoiceFunction, picked) -> AxiomReport:
@@ -235,22 +212,23 @@ def decompose_market(
     """Every firm's order family, keeping an explicit per-firm copy indexing.
 
     Entry ``i`` is firm ``i``'s family; its order ``j`` is copy ``j + 1``.
-    A firm in ``explicit`` keeps that family as given and is neither
-    walked nor checked here: it is a market file's ``copy_indexing``,
-    which ``parse_market`` has already matched against the walk, and
-    :func:`~matchdecomp.association.build_associated_market` verifies it.
-    Every other firm is walked, and its family is checked once, on the
-    walk's menu graph (:func:`verify_walk`); a family that does not
-    recompose its firm's choice function raises
+    A firm in ``explicit`` keeps that family as given and is checked down
+    its orders (:func:`verify_decomposition`).  Every other firm is
+    walked, and its family is checked on the walk's menu graph
+    (:func:`verify_walk`).  So every family returned has been checked
+    once; one that does not recompose its firm's choice function raises
     DecompositionMismatchError.
     """
     explicit = explicit or {}
     families = []
     for f, cf in enumerate(market.choice_functions):
         if f in explicit:
-            families.append(tuple(explicit[f]))
-            continue
-        picks: dict[int, int] = {}
-        families.append(tuple(decompose(cf, caps, picks)))
-        require_recomposition(market, f, verify_walk(cf, picks, caps))
+            family = tuple(explicit[f])
+            report = verify_decomposition(cf, family, caps)
+        else:
+            picks: dict[int, int] = {}
+            family = tuple(decompose(cf, caps, picks))
+            report = verify_walk(cf, picks, caps)
+        require_recomposition(market, f, report)
+        families.append(family)
     return tuple(families)

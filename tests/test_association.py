@@ -133,19 +133,23 @@ class TestBuildValidation:
         )
         with pytest.raises(MarketValidationError, match=f"^{message}$"):
             build_associated_market(market, (family,))
+        # an explicit family passes its check in decompose_market and is
+        # refused the same way
+        with pytest.raises(MarketValidationError, match=f"^{message}$"):
+            build_associated_market(market, explicit={0: family})
         # an empty order beside it changes nothing; the market's own workers pass
         with pytest.raises(MarketValidationError, match=f"^{message}$"):
             OneToOneMarket(market, ((LinearOrder(()), LinearOrder((5,))),))
         assert OneToOneMarket(market, ((LinearOrder((1, 0)),),)).copies
 
     def test_explicit_family_is_verified_at_the_gate(self, reference_market):
-        # decompose_market keeps an explicit family as given; the builder
-        # still verifies it
+        # decompose_market checks an explicit family down its orders, so
+        # neither it nor the builder returns one that does not recompose
         explicit = {0: (LinearOrder((0, 1, 2, 3)),)}
-        per_firm = decompose_market(reference_market, explicit)
-        assert per_firm[0] == explicit[0]
         with pytest.raises(DecompositionMismatchError):
-            build_associated_market(reference_market, per_firm)
+            decompose_market(reference_market, explicit)
+        with pytest.raises(DecompositionMismatchError):
+            build_associated_market(reference_market, explicit=explicit)
 
     def test_default_build_uses_lexicographic_indexing(self, reference_assoc_lex):
         sequences = [

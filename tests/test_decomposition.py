@@ -33,7 +33,14 @@ from matchdecomp import (
 )
 from matchdecomp import decomposition
 from matchdecomp.decomposition import verify_walk
-from matchdecomp.bitsets import bit, iter_indices, member_sets
+from matchdecomp.bitsets import (
+    bit,
+    graph_sets,
+    iter_indices,
+    member_sets,
+    menu_sets,
+    prefix_graph,
+)
 from matchdecomp.choices import ORDERS, check_path_independence
 from matchdecomp.cli import main
 
@@ -65,6 +72,21 @@ def scan_verify(cf, orders):
                 {"menu": menu, "expected": table[menu], "actual": union},
             )
     return AxiomReport("decomposition", True)
+
+
+def order_sets(rankings, k):
+    """Oracle for ``graph_sets``: each ranking sends every menu down its
+    own workers, and a menu stops at the first one it holds."""
+    has = menu_sets(k)
+    picked = [0] * k
+    for ranking in rankings:
+        menus = (1 << (1 << k)) - 1
+        for w in ranking:
+            if w < k:
+                present = menus & has[w]
+                picked[w] |= present
+                menus ^= present
+    return tuple(picked)
 
 
 def tree_walk(cf):
@@ -145,6 +167,10 @@ def family_variants(orders, k, rng):
         "empty order": orders + [LinearOrder(())],
         "prefix of another": orders + [LinearOrder(pick.ranking[:cut])],
         "outside the universe": orders + [LinearOrder((k,) + pick.ranking)],
+        "outside the universe, mid-order": orders
+        + [LinearOrder(pick.ranking[:cut] + (k + 1,) + pick.ranking[cut:])],
+        "repeated order first": [pick] + orders,
+        "empty order twice": orders + [LinearOrder(())] * 2,
         "empty family": [],
     }
 
@@ -480,6 +506,66 @@ class TestVerifyWalk:
             with pytest.raises(DecompositionMismatchError) as caught:
                 build(market)
             assert str(caught.value) == message
+
+
+class TestGraphSets:
+    """One menu-graph routine reads every family's picks, walked or laid
+    down its orders, as each order read on its own would."""
+
+    def test_walked_and_prefix_graphs_at_sixteen_workers(self):
+        market = random_market(
+            GenParams(workers=16, firms=3, max_orders=3, density=0.8, seed=2)
+        )
+        sizes = []
+        for cf in market.choice_functions:
+            orders, picks = walked(cf)
+            rankings = [order.ranking for order in orders]
+            expected = order_sets(rankings, 16)
+            assert graph_sets(picks, 16) == expected
+            assert graph_sets(prefix_graph(rankings, 16), 16) == expected
+            sizes.append(len(orders))
+        assert max(sizes) > 4000
+
+    def test_hand_built_rankings(self):
+        # repeated rankings and workers, empty rankings and workers past k
+        # are read as each ranking alone reads them
+        cases = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            k = rng.randint(0, 6)
+            rankings = [
+                tuple(rng.randrange(k + 2) for _ in range(rng.randint(0, k + 2)))
+                for _ in range(rng.randint(0, 4))
+            ]
+            rankings += rng.sample(rankings, min(len(rankings), 1))
+            expected = order_sets(rankings, k)
+            assert graph_sets(prefix_graph(rankings, k), k) == expected, seed
+            cases += any(len(set(r)) < len(r) for r in rankings)
+        assert cases > 50
+
+    def test_an_unreached_menu_adds_nothing(self, reference_market):
+        cf = reference_market.choice_functions[0]
+        k = cf.universe_size
+        orders, picks = walked(cf)
+        report = verify_walk(cf, picks)
+        unreached = [menu for menu in range(1 << k) if menu not in picks]
+        assert unreached
+        for menu in unreached:
+            grown = {**picks, menu: menu}
+            assert graph_sets(grown, k) == graph_sets(picks, k)
+            assert verify_walk(cf, grown) == report
+        # with no entry at the full menu the walk reaches no other menu
+        assert graph_sets({0b0101: 0b0101}, k) == (0,) * k
+
+    def test_a_pick_outside_its_menu_adds_nothing(self):
+        # the full menu picks w0, then w1; menu {w2} lists w0, outside it,
+        # and menu {w0, w2}, reached only through that pick, lists w2
+        graph = {0b111: 0b001, 0b110: 0b010, 0b100: 0b001, 0b101: 0b100}
+        clean = {0b111: 0b001, 0b110: 0b010}
+        assert graph_sets(graph, 3) == graph_sets(clean, 3) == order_sets([(0, 1)], 3)
+        cf = ChoiceFunction.from_orders((LinearOrder((0, 1)),), 3)
+        assert verify_walk(cf, graph) == verify_walk(cf, clean)
+        assert verify_walk(cf, graph).passed
 
 
 class TestRoundTrips:

@@ -377,26 +377,6 @@ def unit_demand_market(rng, k: int, complete: bool) -> ManyToOneMarket:
     )
 
 
-def block_market(m: int) -> ManyToOneMarket:
-    """m disjoint blocks, each with two stable matchings, so 2**m in all.
-
-    In block b, workers 2b and 2b+1 each prefer firm 2b and firm 2b+1
-    respectively, and each firm prefers the other block worker.
-    """
-    prefs, firms = [], []
-    for b in range(m):
-        first, second = 2 * b, 2 * b + 1
-        prefs += [(first, second), (second, first)]
-        firms += [(second, first), (first, second)]
-    k = 2 * m
-    return ManyToOneMarket(
-        tuple(f"w{i}" for i in range(k)),
-        tuple(f"f{i}" for i in range(k)),
-        tuple(ChoiceFunction.from_orders((LinearOrder(o),), k) for o in firms),
-        tuple(prefs),
-    )
-
-
 def ring_market(length: int, rings: int = 1) -> ManyToOneMarket:
     """``rings`` disjoint rings of ``length`` workers and firms each.
 
@@ -452,7 +432,8 @@ class TestKnownAnswerFamilies:
     """Ring markets, whose stable sets are known past exhaustive sizes."""
 
     @pytest.mark.parametrize(
-        "length, rings, count", [(200, 1, 2), (1000, 1, 2), (4, 8, 256), (3, 10, 1024)]
+        "length, rings, count",
+        [(200, 1, 2), (1000, 1, 2), (4, 8, 256), (3, 10, 1024), (2, 10, 1024)],
     )
     def test_firm_level_search_lists_every_ring_matching(self, length, rings, count):
         market = ring_market(length, rings)
@@ -464,7 +445,7 @@ class TestKnownAnswerFamilies:
         assert len(expected) == count
         assert enumerate_stable(market) == expected
 
-    @pytest.mark.parametrize("length, rings", [(4, 3), (3, 4)])
+    @pytest.mark.parametrize("length, rings", [(4, 3), (3, 4), (2, 8)])
     def test_three_enumerators_and_verify_agree_on_rings(self, length, rings):
         market = ring_market(length, rings)
         assoc = build_associated_market(market)
@@ -823,7 +804,7 @@ class TestPruning:
     def test_classical_block_market_lists_all_2_to_the_m(self, m):
         # each block of two workers and two firms is either straight or
         # swapped, independently of the others
-        assoc = family_association(block_market(m))
+        assoc = family_association(ring_market(2, m))
         found = enumerate_classical_stable(assoc)
         expected = [
             OneToOneMatching(
