@@ -18,9 +18,11 @@ fixed input and flags; README's "Output format" gives its exact form.
 
 :func:`main` can be called repeatedly in one process.  It builds its
 argument parser on the first call and reuses it; caps are read from the
-environment on every call, and each command's handler looks up the
-functions it calls when it runs.  :func:`build_parser` still returns a
-fresh parser each time.
+environment on every call.  Each command's handler imports the functions
+it calls from their home modules when it runs, so a process loads only
+the modules its commands use, and a caller that replaces one of them
+patches its home module (``matchdecomp.da.copies_propose``), not this
+one.  :func:`build_parser` still returns a fresh parser each time.
 """
 
 from __future__ import annotations
@@ -30,29 +32,9 @@ import functools
 import json
 import sys
 
-from .association import build_associated_market
 from .caps import caps_from_env
-from .choices import check_lad, check_path_independence
-from .correspondence import check_count_invariance, verify_correspondence
-from .da import copies_propose, trace_json_lines, workers_propose
 from .errors import MarketError, MarketValidationError
-from .generator import GenParams, random_market
-from .io import (
-    MarketDocument,
-    dump_market,
-    load_market,
-    read_json,
-    render_axiom_report,
-    render_json,
-)
-from .matchings import ManyToOneMatching
-from .stability import (
-    check_stable,
-    enumerate_classical_stable,
-    enumerate_copy_stable,
-    enumerate_stable,
-    render_stability_report,
-)
+from .io import load_market, render_json
 
 _CONCEPTS = {
     "stable": "stable",
@@ -67,10 +49,15 @@ def _emit(data: dict) -> None:
 
 
 def _assoc_for(doc, caps):
+    from .association import build_associated_market
+
     return build_associated_market(doc.market, caps=caps, explicit=doc.copy_indexing)
 
 
 def _cmd_validate(args, caps) -> int:
+    from .choices import check_lad, check_path_independence
+    from .io import render_axiom_report
+
     doc = load_market(args.market, caps)
     market = doc.market
     firms = []
@@ -109,6 +96,8 @@ def _cmd_decompose(args, caps) -> int:
 
 
 def _cmd_solve(args, caps) -> int:
+    from .da import copies_propose, trace_json_lines, workers_propose
+
     doc = load_market(args.market, caps)
     assoc = _assoc_for(doc, caps)
     if args.proposing in ("copies", "firms"):
@@ -129,6 +118,12 @@ def _cmd_solve(args, caps) -> int:
 
 
 def _cmd_enumerate(args, caps) -> int:
+    from .stability import (
+        enumerate_classical_stable,
+        enumerate_copy_stable,
+        enumerate_stable,
+    )
+
     doc = load_market(args.market, caps)
     concept = _CONCEPTS[args.concept]
     if concept == "stable":
@@ -146,6 +141,8 @@ def _cmd_enumerate(args, caps) -> int:
 
 
 def _cmd_verify(args, caps) -> int:
+    from .correspondence import check_count_invariance, verify_correspondence
+
     doc = load_market(args.market, caps)
     assoc = _assoc_for(doc, caps)
     correspondence = verify_correspondence(assoc, caps)
@@ -191,6 +188,10 @@ def _cmd_verify(args, caps) -> int:
 
 
 def _cmd_check(args, caps) -> int:
+    from .io import read_json
+    from .matchings import ManyToOneMatching
+    from .stability import check_stable, render_stability_report
+
     doc = load_market(args.market, caps)
     data = read_json(args.matching)
     if not isinstance(data, dict) or not all(
@@ -207,6 +208,9 @@ def _cmd_check(args, caps) -> int:
 
 
 def _cmd_gen(args, caps) -> int:
+    from .generator import GenParams, random_market
+    from .io import MarketDocument, dump_market
+
     del caps
     params = GenParams(
         workers=args.workers,

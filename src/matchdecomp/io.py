@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import chain
 
 from .bitsets import labels_of
@@ -69,6 +68,8 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def market_schema() -> dict:
+    from importlib import resources  # only a rejection or a library caller needs it
+
     with resources.files("matchdecomp.data").joinpath("market.schema.json").open() as fh:
         return json.load(fh)
 

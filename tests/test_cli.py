@@ -22,6 +22,7 @@ from matchdecomp import (
     choices,
     cli,
     correspondence,
+    da,
     decomposition,
     dump_market,
     enumerate_stable,
@@ -269,7 +270,7 @@ class TestSolve:
         def broken(*args, **kwargs):
             raise RuntimeError("a bug, not an unstable outcome")
 
-        monkeypatch.setattr(cli, "copies_propose", broken)
+        monkeypatch.setattr(da, "copies_propose", broken)
         with pytest.raises(RuntimeError, match="a bug"):
             main(["solve", REFERENCE_PATH])
 
@@ -946,13 +947,13 @@ class TestParserReuse:
         self, capsys, monkeypatch, argv, flag, name, keyword
     ):
         seen = []
-        original = getattr(cli, name)
+        original = getattr(da, name)
 
         def recording(*args, **kwargs):
             seen.append(kwargs[keyword])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(da, name, recording)
         argv = [argv[0], REFERENCE_PATH, *argv[1:]]
         run_cli(capsys, *argv, flag)
         assert run_cli(capsys, *argv)[0] == 0
